@@ -10,7 +10,7 @@ Node::Node(int self, int n, int t, bool batched_coin, bool batched_mw,
         // the VSS layers' DMM filter applies the session-ordered discard.
         route_app(ctx, origin, m, /*via_rb=*/true);
       }),
-      dmm_(Dmm::Hooks{
+      dmm_(n, Dmm::Hooks{
           /*on_shun=*/nullptr,
           /*redeliver=*/
           [this](Context& ctx, int from, const Message& m, bool via_rb) {
@@ -219,16 +219,20 @@ void Node::route_app(Context& ctx, int sender, const Message& m,
   }
 }
 
+// One probe finds the session's record; the record is created only once
+// the message passed the filter.
 void Node::deliver_mw(Context& ctx, int sender, const Message& m,
                       bool via_rb) {
-  if (!dmm_.filter(ctx, sender, m, via_rb)) return;
+  Dmm::Session* rec = dmm_.find(m.sid);
+  if (!dmm_.filter(sender, m, via_rb, rec)) return;
+  if (rec == nullptr) rec = &dmm_.intern(m.sid);
   if (via_rb && m.type == MsgType::kMwReconVal && m.vals.size() == 1 &&
       m.a >= 0 && m.a < n_) {
     // DMM rules 2-3: resolve or violate reconstruction expectations
     // before the session acts on the value.
-    if (!dmm_.on_recon_value(ctx, sender, m.sid, m.a, m.vals[0])) return;
+    if (!dmm_.on_recon_value(ctx, sender, *rec, m.a, m.vals[0])) return;
   }
-  MwSvssSession& s = mw(ctx, m.sid);
+  auto& s = machine<MwSvssSession>(*rec);
   if (via_rb) {
     s.on_broadcast(ctx, sender, m);
   } else {
@@ -238,8 +242,9 @@ void Node::deliver_mw(Context& ctx, int sender, const Message& m,
 
 void Node::deliver_svss(Context& ctx, int sender, const Message& m,
                         bool via_rb) {
-  if (!dmm_.filter(ctx, sender, m, via_rb)) return;
-  SvssSession& s = svss(ctx, m.sid);
+  Dmm::Session* rec = dmm_.find(m.sid);
+  if (!dmm_.filter(sender, m, via_rb, rec)) return;
+  auto& s = machine<SvssSession>(rec != nullptr ? *rec : dmm_.intern(m.sid));
   if (via_rb) {
     s.on_broadcast(ctx, sender, m);
   } else {
@@ -250,22 +255,22 @@ void Node::deliver_svss(Context& ctx, int sender, const Message& m,
 // ---------------------------------------------------------------------
 // Session access
 // ---------------------------------------------------------------------
-MwSvssSession& Node::mw(Context& ctx, const SessionId& sid) {
-  (void)ctx;
-  std::unique_ptr<MwSvssSession>& slot = mw_[sid];
-  if (!slot) {
-    slot = std::make_unique<MwSvssSession>(*this, sid, self_, n_, t_);
+// A record's path fixes its machine's type: MW paths hold MwSvssSession,
+// SVSS paths SvssSession.
+template <typename Machine>
+Machine& Node::machine(Dmm::Session& rec) {
+  if (!rec.machine) {
+    rec.machine = std::make_unique<Machine>(*this, rec.sid, self_, n_, t_);
   }
-  return *slot;
+  return static_cast<Machine&>(*rec.machine);
 }
 
-SvssSession& Node::svss(Context& ctx, const SessionId& sid) {
-  (void)ctx;
-  std::unique_ptr<SvssSession>& slot = svss_[sid];
-  if (!slot) {
-    slot = std::make_unique<SvssSession>(*this, sid, self_, n_, t_);
-  }
-  return *slot;
+MwSvssSession& Node::mw(Context& /*ctx*/, const SessionId& sid) {
+  return machine<MwSvssSession>(dmm_.intern(sid));
+}
+
+SvssSession& Node::svss(Context& /*ctx*/, const SessionId& sid) {
+  return machine<SvssSession>(dmm_.intern(sid));
 }
 
 namespace {
@@ -415,13 +420,13 @@ void Node::start_benor(Context& ctx, int input) {
 }
 
 const MwSvssSession* Node::find_mw(const SessionId& sid) const {
-  const std::unique_ptr<MwSvssSession>* slot = mw_.find(sid);
-  return slot == nullptr ? nullptr : slot->get();
+  const Dmm::Session* rec = dmm_.find(sid);
+  return rec ? dynamic_cast<const MwSvssSession*>(rec->machine.get()) : nullptr;
 }
 
 const SvssSession* Node::find_svss(const SessionId& sid) const {
-  const std::unique_ptr<SvssSession>* slot = svss_.find(sid);
-  return slot == nullptr ? nullptr : slot->get();
+  const Dmm::Session* rec = dmm_.find(sid);
+  return rec ? dynamic_cast<const SvssSession*>(rec->machine.get()) : nullptr;
 }
 
 const CoinSession* Node::find_coin(std::uint32_t round) const {
@@ -507,8 +512,8 @@ void Node::mw_recon_output(Context& ctx, const SessionId& sid,
     svss(ctx, *parent).on_child_output(ctx, sid, value);
   }
   if (observers.mw_output) observers.mw_output(ctx, sid, value);
-  if (auto* slot = mw_.find(sid); slot != nullptr && *slot) {
-    (*slot)->compact();
+  if (Dmm::Session* rec = dmm_.find(sid); rec != nullptr && rec->machine) {
+    static_cast<MwSvssSession&>(*rec->machine).compact();
   }
 }
 

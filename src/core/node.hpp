@@ -21,8 +21,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "common/flat_map.hpp"
-
 #include "aba/aba.hpp"
 #include "aba/local_coin_aba.hpp"
 #include "aba/vote_batch.hpp"
@@ -179,6 +177,9 @@ class Node : public IProcess,
   // Same bracketing for the cross-instance agreement-vote batcher.
   bool open_vote_window();
   void close_vote_window(Context& ctx);
+  // Get-or-create the state machine held by an MW / SVSS session record.
+  template <typename Machine>
+  Machine& machine(Dmm::Session& rec);
   AbaSession& aba_instance(std::uint32_t instance);
   [[nodiscard]] bool sane_sid(const SessionId& sid) const;
 
@@ -186,6 +187,8 @@ class Node : public IProcess,
   int n_;
   int t_;
   Rbc rbc_;
+  // Also the MW-SVSS/SVSS session table: each session's state machine sits
+  // in its DMM record, so routing probes one interned table per message.
   Dmm dmm_;
   // Present iff this node deals its coin rounds batched.
   std::unique_ptr<BatchedSvssTransport> batch_;
@@ -193,10 +196,6 @@ class Node : public IProcess,
   std::unique_ptr<MwGroupTransport> mw_batch_;
   // Present iff this node coalesces agreement votes across instances.
   std::unique_ptr<AbaVoteBatcher> vote_batch_;
-  // Flat tables (common/flat_map.hpp): session lookup is the per-delivery
-  // routing cost, so these sit on the hot path.  Sessions are never erased.
-  FlatMap<SessionId, std::unique_ptr<MwSvssSession>, SessionIdHash> mw_;
-  FlatMap<SessionId, std::unique_ptr<SvssSession>, SessionIdHash> svss_;
   // Keyed by (instance << 32) | round.
   std::unordered_map<std::uint64_t, std::unique_ptr<CoinSession>> coins_;
   std::unordered_map<std::uint32_t, std::unique_ptr<AbaSession>> abas_;

@@ -28,16 +28,28 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
+#include <optional>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/field.hpp"
+#include "common/flat_map.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
 
 namespace svss {
+
+// A session's protocol state machine (MW-SVSS or SVSS).  It lives in the
+// session's DMM record, so routing finds the DMM state and the session
+// with one probe.
+class SessionMachine {
+ public:
+  SessionMachine() = default;
+  SessionMachine(const SessionMachine&) = delete;
+  SessionMachine& operator=(const SessionMachine&) = delete;
+  virtual ~SessionMachine() = default;
+};
 
 class Dmm {
  public:
@@ -50,11 +62,36 @@ class Dmm {
         redeliver;
   };
 
-  explicit Dmm(Hooks hooks) : hooks_(std::move(hooks)) {}
+  // One record per MW-SVSS/SVSS session, interned on first local contact
+  // and never erased.  Every per-session table is indexed by process id
+  // (sender * n + poly for the two-id ones) and allocated lazily.
+  struct Session {
+    static constexpr std::uint64_t kUnborn = ~std::uint64_t{0};
+    SessionId sid;
+    // ->_i bookkeeping: birth is the completion counter when the session
+    // began locally; done is its 1-based completion order (0 while open).
+    std::uint64_t birth = kUnborn;
+    std::uint64_t done = 0;
+    std::vector<int> open;                 // sender -> open expectations
+    std::vector<std::optional<Fp>> ack;    // (sender, poly) -> ACK value
+    std::vector<std::optional<Fp>> deal;   // sender -> DEAL value
+    // Reconstruct broadcasts received before completion, (origin, poly) ->
+    // value: consulted when expectations are added late.
+    std::vector<std::optional<Fp>> seen;
+    std::unique_ptr<SessionMachine> machine;
+  };
+
+  Dmm(int n, Hooks hooks);
+
+  // The session's record: find() is lookup-only (nullptr if none), so a
+  // peer's message never creates state before it passes filter().
+  [[nodiscard]] Session* find(const SessionId& sid) const;
+  Session& intern(const SessionId& sid);
 
   // ------------------------------------------------------------------
   // Ingress filtering (rules 4 and 5).  Returns true if the caller should
-  // act on the message now; false if it was discarded or buffered.
+  // act on the message now; false if it was discarded or buffered.  `s`
+  // is m.sid's record, or nullptr if it has none yet.
   //
   // Discarding is *session-ordered*, per Definition 1: a detected process
   // j is discarded in sessions that come after (->_i) the session where
@@ -66,12 +103,12 @@ class Dmm {
   // stays unresolved forever, so rule 5 delays them even before the
   // anchor session completes locally.
   // ------------------------------------------------------------------
-  bool filter(Context& ctx, int from, const Message& m, bool via_rb);
+  bool filter(int from, const Message& m, bool via_rb, const Session* s);
 
   // True iff j is in D_i (explicit detection happened).
   [[nodiscard]] bool discards(int j) const { return d_.count(j) != 0; }
   // True iff rule 4 drops a message from j in session s.
-  [[nodiscard]] bool discard_applies(int j, const SessionId& s) const;
+  [[nodiscard]] bool discard_applies(int j, const Session* s) const;
 
   // ------------------------------------------------------------------
   // Expectation arrays.  An expectation may be registered *after* the
@@ -79,28 +116,27 @@ class Dmm {
   // dealer's own schedule, and RB delivers each broadcast exactly once),
   // so additions are checked against the recorded broadcasts of the
   // session: an already-satisfied expectation is dropped on the spot, an
-  // already-contradicted one detects the sender immediately.
+  // already-contradicted one detects the sender immediately.  Process ids
+  // outside [0, n) are ignored throughout.
   // ------------------------------------------------------------------
-  void add_ack_entry(Context& ctx, int sender, int poly, const SessionId& sid,
-                     Fp x);
-  void add_deal_entry(Context& ctx, int sender, const SessionId& sid, Fp x);
+  void add_ack_entry(Context& ctx, int sender, int poly, Session& s, Fp x);
+  void add_deal_entry(Context& ctx, int sender, Session& s, Fp x);
   // S' step 8: this process is not in M-hat, so its DEAL expectations for
   // the session no longer matter.
-  void clear_deal_entries(Context& ctx, const SessionId& sid);
-  // Rules 2-3: an RB broadcast "f_poly(origin) = x" for session `sid`
+  void clear_deal_entries(Context& ctx, Session& s);
+  // Rules 2-3: an RB broadcast "f_poly(origin) = x" for session `s`
   // arrived.  Resolves or violates matching expectations.  Returns false
   // iff the broadcast contradicted an expectation (origin entered D_i).
-  bool on_recon_value(Context& ctx, int origin, const SessionId& sid,
-                      int poly, Fp x);
+  bool on_recon_value(Context& ctx, int origin, Session& s, int poly, Fp x);
 
   // ------------------------------------------------------------------
   // Session order ->_i
   // ------------------------------------------------------------------
   // First local action of the session (dealer initiating, or first acted-on
   // message).  Freezes the set of sessions that precede it.
-  void note_begin(const SessionId& sid);
+  Session& note_begin(const SessionId& sid);
   // Local completion of the session's reconstruct.
-  void note_complete(const SessionId& sid);
+  void note_complete(Session& s);
 
   // ------------------------------------------------------------------
   // Introspection (tests, benchmarks, examples)
@@ -108,99 +144,53 @@ class Dmm {
   [[nodiscard]] const std::set<int>& detected() const { return d_; }
   [[nodiscard]] std::size_t pending_expectations(int sender) const;
   [[nodiscard]] std::size_t buffered_messages() const;
-  [[nodiscard]] bool is_blocked(int from, const SessionId& sid) const;
-  // Open expectations whose session has completed locally — exactly the
-  // ones that can delay later sessions (debugging/tests).
-  struct OpenEntry {
-    int sender;
-    SessionId sid;
-    bool is_ack;
-  };
-  [[nodiscard]] std::vector<OpenEntry> blocking_entries() const;
+  [[nodiscard]] bool is_blocked(int from, const Session* s) const;
 
  private:
-  struct AckKey {
-    int sender;
-    int poly;
-    SessionId sid;
-    friend auto operator<=>(const AckKey&, const AckKey&) = default;
-  };
-  struct AckKeyHash {
-    std::size_t operator()(const AckKey& k) const {
-      std::size_t h = SessionIdHash{}(k.sid);
-      h = h * 0x100000001B3ULL ^ static_cast<std::size_t>(k.sender + 1);
-      h = h * 0x100000001B3ULL ^ static_cast<std::size_t>(k.poly + 1);
-      return h;
-    }
-  };
-  struct DealKey {
-    int sender;
-    SessionId sid;
-    friend auto operator<=>(const DealKey&, const DealKey&) = default;
-    friend bool operator==(const DealKey&, const DealKey&) = default;
-  };
-  struct DealKeyHash {
-    std::size_t operator()(const DealKey& k) const {
-      return SessionIdHash{}(k.sid) * 0x100000001B3ULL ^
-             static_cast<std::size_t>(k.sender + 1);
-    }
-  };
   struct Delayed {
     int from;
     bool via_rb;
     Message msg;
   };
+  struct Peer {
+    const Session* anchor = nullptr;  // first detection session
+    std::size_t open = 0;  // unresolved expectations over all sessions
+    // Completion orders of *completed* sessions that still hold unresolved
+    // expectations about this sender.  The rule-5 test reduces to comparing
+    // the minimum against the target session's birth — O(log) instead of a
+    // scan over every open session (which dominates runtime at coin scale).
+    std::multiset<std::uint64_t> blocking_orders;
+    std::vector<Delayed> delayed;  // rule-5 buffer, arrival order
+  };
 
-  void add_to_d(Context& ctx, int j, const SessionId& where);
-  // True iff session s precedes s' in ->_i given current begin/complete
-  // bookkeeping.
-  [[nodiscard]] bool precedes(const SessionId& s, const SessionId& s2) const;
-  void note_expectation(int sender, const SessionId& sid);
-  void drop_expectation(Context& ctx, int sender, const SessionId& sid);
+  [[nodiscard]] bool valid(int id) const { return id >= 0 && id < n_; }
+  [[nodiscard]] bool tracked(int id) const {
+    return id >= 0 && static_cast<std::size_t>(id) < peers_.size();
+  }
+  static std::size_t at(int id) { return static_cast<std::size_t>(id); }
+  [[nodiscard]] std::size_t cell(int sender, int poly) const {
+    return at(sender) * at(n_) + at(poly);
+  }
+  void add_to_d(Context& ctx, int j, const Session& where);
+  void note_expectation(int sender, Session& s);
+  void drop_expectation(Context& ctx, int sender, Session& s);
+  // Frees a completed session's expectation tables once nothing is open.
+  static void release_if_resolved(Session& s);
   void flush_delayed(Context& ctx, int sender);
 
-  // Per-sender state lives in vectors indexed by process id, and
-  // session-keyed state in hash maps: DMM sits on the delivery hot path
+  // Per-peer state lives in a vector indexed by process id, per-session
+  // state in the interned records: DMM sits on the delivery hot path
   // (every VSS message passes filter(), every recon broadcast passes rules
-  // 2-3), where ordered-map SessionId comparisons used to dominate.
-  template <typename T>
-  static T& at_sender(std::vector<T>& v, int sender) {
-    if (v.size() <= static_cast<std::size_t>(sender)) {
-      v.resize(static_cast<std::size_t>(sender) + 1);
-    }
-    return v[static_cast<std::size_t>(sender)];
-  }
-
+  // 2-3), so one probe finds everything a message touches.
+  int n_;
   Hooks hooks_;
+  // Records never move once created, so sessions may hold references.
+  FlatMap<SessionId, std::unique_ptr<Session>, SessionIdHash> sessions_;
   std::set<int> d_;
-  std::map<int, SessionId> anchor_;  // first detection session per suspect
-  // Senders with live DEAL entries per session (step-8 bulk removal).
-  std::unordered_map<SessionId, std::set<int>, SessionIdHash>
-      deal_senders_by_session_;
-  std::unordered_map<AckKey, Fp, AckKeyHash> ack_;
-  std::unordered_map<DealKey, Fp, DealKeyHash> deal_;
-  // Per-sender count of unresolved expectations per session, to make the
-  // blocking test cheap.  Indexed by sender id (grown on demand).
-  std::vector<std::unordered_map<SessionId, int, SessionIdHash>>
-      open_by_sender_;
-  // Completion orders of *completed* sessions that still hold unresolved
-  // expectations, per sender.  The rule-5 test reduces to comparing the
-  // minimum against the target session's birth — O(log) instead of a scan
-  // over every open session (which dominates runtime at coin scale).
-  std::vector<std::multiset<std::uint64_t>> blocking_orders_;
-  std::vector<std::vector<Delayed>> delayed_;
-  // ->_i bookkeeping: completion_order is 1-based and increasing; birth is
-  // the completion counter value when the session began locally.
-  std::unordered_map<SessionId, std::uint64_t, SessionIdHash> completion_order_;
-  std::unordered_map<SessionId, std::uint64_t, SessionIdHash> birth_;
+  // Sized n by the first expectation or detection, so a node whose VSS
+  // layers never run allocates none.
+  std::vector<Peer> peers_;
   std::uint64_t completions_ = 0;
-  // Reconstruct broadcasts already received, per live session:
-  // (origin, poly) -> value.  Consulted when expectations are added late;
-  // garbage-collected when the session completes locally (no expectations
-  // are added past that point).
-  std::unordered_map<SessionId, std::map<std::pair<int, int>, Fp>,
-                     SessionIdHash>
-      seen_recon_;
 };
 
 }  // namespace svss

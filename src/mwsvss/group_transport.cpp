@@ -99,12 +99,19 @@ void MwGroupTransport::open_window() {
 MwGroupTransport::PendingGroup& MwGroupTransport::group_for(
     const SessionId& child) {
   SessionId gsid = group_sid(child);
-  auto [it, inserted] = pending_index_.emplace(gsid, pending_.size());
-  if (inserted) {
-    pending_.emplace_back();
-    pending_.back().gsid = gsid;
+  std::uint32_t& handle = groups_[gsid];
+  if (handle == 0) {  // first capture in this group
+    flush_seq_.emplace_back();
+    pending_index_.push_back(0);
+    handle = static_cast<std::uint32_t>(flush_seq_.size());
   }
-  return pending_[it->second];
+  std::uint32_t& index = pending_index_[handle - 1];
+  if (index == 0) {
+    pending_.emplace_back().gsid = gsid;
+    pending_.back().handle = handle;
+    index = static_cast<std::uint32_t>(pending_.size());
+  }
+  return pending_[index - 1];
 }
 
 bool MwGroupTransport::capture_broadcast(const Message& m) {
@@ -181,7 +188,8 @@ void MwGroupTransport::close_window(Context& ctx, const EmitFns& emit) {
       m.vals = std::move(g.direct_vals[slot]);
       emit.send(ctx, to, std::move(m));
     }
-    auto& seq = flush_seq_[g.gsid];
+    auto& seq = flush_seq_[g.handle - 1];
+    pending_index_[g.handle - 1] = 0;
     auto flush_rb = [&](MsgType type, RbSlot slot, Message&& m) {
       m.sid = g.gsid;
       m.type = type;
@@ -226,7 +234,6 @@ void MwGroupTransport::close_window(Context& ctx, const EmitFns& emit) {
     }
   }
   pending_.clear();
-  pending_index_.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -270,8 +277,16 @@ void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
   if (is_direct == via_rb) return;  // wrong transport class for the type
 
   // Parse the whole envelope before dispatching: a malformed batch is
-  // dropped in its entirety, mirroring RBC's treatment of garbage.
-  std::vector<Message> subs;
+  // dropped in its entirety, mirroring RBC's treatment of garbage.  Each
+  // parsed sub-message is a view: type, attachee, `a`, and the run
+  // [at, at + len) of vals (of ints for L/M sets) it carries.
+  struct Sub {
+    MsgType type;
+    int j, a;
+    std::size_t at, len;
+  };
+  std::vector<Sub> subs;
+  subs.reserve(m.ints.size());  // every sub-message spends >= 1 int
   // One delivery per (sub-type, attachee) within an envelope; duplicate
   // entries are the Byzantine shape that could double-drive a session.
   // (A bitset, not bool arrays: unpack runs per delivered envelope, so
@@ -292,12 +307,6 @@ void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
     seen[bit] = true;
     return true;
   };
-  auto sub_base = [&](int j, MsgType type) {
-    Message sub;
-    sub.sid = child_sid(m.sid, j);
-    sub.type = type;
-    return sub;
-  };
   auto valid_j = [&](int j) { return j >= 0 && j < n; };
 
   switch (m.type) {
@@ -313,12 +322,9 @@ void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
             !claim(type, j)) {
           return;
         }
-        Message sub = sub_base(j, type);
-        sub.vals.assign(
-            m.vals.begin() + static_cast<std::ptrdiff_t>(cursor),
-            m.vals.begin() + static_cast<std::ptrdiff_t>(cursor) + len);
-        cursor += static_cast<std::size_t>(len);
-        subs.push_back(std::move(sub));
+        auto run = static_cast<std::size_t>(len);
+        subs.push_back(Sub{type, j, -1, cursor, run});
+        cursor += run;
       }
       if (cursor != m.vals.size()) return;
       break;
@@ -330,7 +336,7 @@ void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
                                                         : MsgType::kMwOk;
       for (int j : m.ints) {
         if (!valid_j(j) || !claim(sub_type, j)) return;
-        subs.push_back(sub_base(j, sub_type));
+        subs.push_back(Sub{sub_type, j, -1, 0, 0});
       }
       break;
     }
@@ -349,12 +355,9 @@ void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
             !claim(sub_type, j)) {
           return;
         }
-        Message sub = sub_base(j, sub_type);
-        sub.ints.assign(
-            m.ints.begin() + static_cast<std::ptrdiff_t>(i + 2),
-            m.ints.begin() + static_cast<std::ptrdiff_t>(i + 2) + len);
-        subs.push_back(std::move(sub));
-        i += 2 + static_cast<std::size_t>(len);
+        auto run = static_cast<std::size_t>(len);
+        subs.push_back(Sub{sub_type, j, -1, i + 2, run});
+        i += 2 + run;
       }
       break;
     }
@@ -375,10 +378,7 @@ void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
                           static_cast<std::size_t>(l);
         if (recon_seen[bit]) return;
         recon_seen[bit] = true;
-        Message sub = sub_base(j, MsgType::kMwReconVal);
-        sub.a = static_cast<std::int16_t>(l);
-        sub.vals.push_back(m.vals[i]);
-        subs.push_back(std::move(sub));
+        subs.push_back(Sub{MsgType::kMwReconVal, j, l, i, 1});
       }
       break;
     }
@@ -386,7 +386,20 @@ void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
       return;
   }
 
-  for (const Message& sub : subs) {
+  // One Message is refilled per sub-message: the sink copies whatever it
+  // keeps, so reusing its buffers saves an allocation per sub-message.
+  Message sub;
+  for (const Sub& s : subs) {
+    sub.sid = child_sid(m.sid, s.j);
+    sub.type = s.type;
+    sub.a = static_cast<std::int16_t>(s.a);
+    const auto at = static_cast<std::ptrdiff_t>(s.at);
+    const auto end = at + static_cast<std::ptrdiff_t>(s.len);
+    if (s.type == MsgType::kMwLset || s.type == MsgType::kMwMset) {
+      sub.ints.assign(m.ints.begin() + at, m.ints.begin() + end);
+    } else {
+      sub.vals.assign(m.vals.begin() + at, m.vals.begin() + end);
+    }
     sink(ctx, sender, sub, via_rb);
   }
 }

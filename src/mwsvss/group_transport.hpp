@@ -41,9 +41,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
 
@@ -122,6 +122,7 @@ class MwGroupTransport {
 
   struct PendingGroup {
     SessionId gsid;  // envelope sid (variant 2 | 3)
+    std::uint32_t handle = 0;  // gsid's interned group handle (1-based)
     std::vector<int> acks;  // attachees, capture order
     std::vector<int> oks;
     std::vector<std::pair<int, std::vector<int>>> lsets;  // (j, members)
@@ -145,7 +146,11 @@ class MwGroupTransport {
 
   bool window_open_ = false;
   std::vector<PendingGroup> pending_;  // capture order (determinism)
-  std::unordered_map<SessionId, std::size_t, SessionIdHash> pending_index_;
+  // Group sid -> dense 1-based handle, interned at the group's first
+  // capture.  Indexed by handle - 1: 1 + the group's index in pending_ (0
+  // while it has no captures in the open window), and flush_seq_ below.
+  FlatMap<SessionId, std::uint32_t, SessionIdHash> groups_;
+  std::vector<std::uint32_t> pending_index_;
   // Per (group, RB type) flush sequence, persisted across windows: each
   // flush is its own RBC instance (BcastId.a), so a straggler flush never
   // collides with — or equivocates against — an earlier one.  Entries are
@@ -153,11 +158,9 @@ class MwGroupTransport {
   // horizon after which a group provably stops flushing, and a pruned
   // group restarting at sequence 0 would reuse an instance id — an honest
   // node equivocating against itself.  Growth is one small array per
-  // group *this node sent RB traffic in*, the same order as the Rbc
+  // group *this node captured traffic in*, the same order as the Rbc
   // layer's own per-instance state.
-  std::unordered_map<SessionId, std::array<std::int16_t, kRbSlots>,
-                     SessionIdHash>
-      flush_seq_;
+  std::vector<std::array<std::int16_t, kRbSlots>> flush_seq_;
 };
 
 }  // namespace svss

@@ -6,9 +6,10 @@ namespace svss {
 
 MwSvssSession::MwSvssSession(MwHost& host, SessionId sid, int self, int n,
                              int t)
-    : host_(host), sid_(sid), self_(self), n_(n), t_(t) {
-  host_.dmm().note_begin(sid_);
-}
+    : host_(host), sid_(sid), rec_(host_.dmm().note_begin(sid_)),
+      self_(self), n_(n), t_(t),
+      echo_from_(at(n)), lsets_(at(n)),
+      monitor_vals_(self == sid.moderator ? at(n) : 0) {}
 
 Message MwSvssSession::base_msg(MsgType type) const {
   Message m;
@@ -19,11 +20,27 @@ Message MwSvssSession::base_msg(MsgType type) const {
 
 bool MwSvssSession::valid_pid_set(const std::vector<int>& ids) const {
   if (static_cast<int>(ids.size()) < n_ - t_) return false;
-  std::set<int> seen;
+  PidSet seen;
   for (int id : ids) {
-    if (!valid_pid(id) || !seen.insert(id).second) return false;
+    if (!valid_pid(id) || seen.test(at(id))) return false;
+    seen.set(at(id));
   }
   return true;
+}
+
+bool MwSvssSession::lset_acked(int l) const {
+  const auto& ls = lsets_[at(l)];
+  return !ls.empty() && std::all_of(ls.begin(), ls.end(), [this](int k) {
+           return acked_.test(at(k));
+         });
+}
+
+std::vector<int> MwSvssSession::members(const PidSet& set) const {
+  std::vector<int> out;
+  for (int id = 0; id < n_; ++id) {
+    if (set.test(at(id))) out.push_back(id);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------
@@ -66,6 +83,7 @@ void MwSvssSession::set_moderator_input(Context& ctx, Fp s_prime) {
 }
 
 void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
+  if (compacted_) return;  // both phases done: progress() would ignore it
   switch (m.type) {
     case MsgType::kMwDealerShares:
       if (from != dealer() || row_vals_ ||
@@ -100,16 +118,18 @@ void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
     }
     case MsgType::kMwEchoVal:
       // from sends f-hat^from_self: its received value of f_self(from).
-      if (m.vals.size() != 1 || echo_from_.count(from) != 0) return;
-      echo_from_.emplace(from, m.vals[0]);
+      if (m.vals.size() != 1 || !valid_pid(from) || echo_from_[at(from)]) {
+        return;
+      }
+      echo_from_[at(from)] = m.vals[0];
       break;
     case MsgType::kMwMonitorVal:
       // Monitor `from` hands the moderator its f-hat_from(0).
-      if (self_ != moderator() || m.vals.size() != 1 ||
-          monitor_vals_.count(from) != 0) {
+      if (self_ != moderator() || m.vals.size() != 1 || !valid_pid(from) ||
+          monitor_vals_[at(from)]) {
         return;
       }
-      monitor_vals_.emplace(from, m.vals[0]);
+      monitor_vals_[at(from)] = m.vals[0];
       break;
     default:
       return;
@@ -118,13 +138,14 @@ void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
 }
 
 void MwSvssSession::on_broadcast(Context& ctx, int origin, const Message& m) {
+  if (compacted_ || !valid_pid(origin)) return;
   switch (m.type) {
     case MsgType::kMwAck:
-      acked_.insert(origin);
+      acked_.set(at(origin));
       break;
     case MsgType::kMwLset:
-      if (lsets_.count(origin) != 0 || !valid_pid_set(m.ints)) return;
-      lsets_.emplace(origin, m.ints);
+      if (!lsets_[at(origin)].empty() || !valid_pid_set(m.ints)) return;
+      lsets_[at(origin)] = m.ints;
       break;
     case MsgType::kMwMset:
       if (origin != moderator() || mset_ || !valid_pid_set(m.ints)) return;
@@ -132,7 +153,7 @@ void MwSvssSession::on_broadcast(Context& ctx, int origin, const Message& m) {
       // S' step 8: a process outside M-hat drops its DEAL expectations for
       // this session — its polynomial no longer matters.
       if (std::find(mset_->begin(), mset_->end(), self_) == mset_->end()) {
-        host_.dmm().clear_deal_entries(ctx, sid_);
+        host_.dmm().clear_deal_entries(ctx, rec_);
       }
       break;
     case MsgType::kMwOk:
@@ -141,9 +162,7 @@ void MwSvssSession::on_broadcast(Context& ctx, int origin, const Message& m) {
       break;
     case MsgType::kMwReconVal: {
       // DMM rules 2-3 ran before this handler (see core::Node routing).
-      if (m.vals.size() != 1 || !valid_pid(m.a) || !valid_pid(origin)) {
-        return;
-      }
+      if (m.vals.size() != 1 || !valid_pid(m.a)) return;
       if (recon_seen_.empty()) {
         recon_seen_.assign(
             static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
@@ -202,11 +221,12 @@ void MwSvssSession::try_add_deal_entries(Context& ctx) {
                    mset_->end()) {
     return;
   }
-  for (const auto& [l, val] : echo_from_) {
-    if (deal_added_.count(l) != 0 || acked_.count(l) == 0) continue;
-    if (val == my_poly_->eval(point(l))) {
-      deal_added_.insert(l);
-      host_.dmm().add_deal_entry(ctx, l, sid_, val);
+  for (int l = 0; l < n_; ++l) {
+    const auto& val = echo_from_[at(l)];
+    if (!val || deal_added_.test(at(l)) || !acked_.test(at(l))) continue;
+    if (*val == my_poly_->eval(point(l))) {
+      deal_added_.set(at(l));
+      host_.dmm().add_deal_entry(ctx, l, rec_, *val);
     }
   }
 }
@@ -215,12 +235,12 @@ void MwSvssSession::try_add_deal_entries(Context& ctx) {
 // monitored point f_self(0).
 void MwSvssSession::try_broadcast_lset(Context& ctx) {
   if (lset_sent_ || !my_poly_ ||
-      static_cast<int>(deal_added_.size()) < n_ - t_) {
+      static_cast<int>(deal_added_.count()) < n_ - t_) {
     return;
   }
   lset_sent_ = true;
   Message lset = base_msg(MsgType::kMwLset);
-  lset.ints.assign(deal_added_.begin(), deal_added_.end());
+  lset.ints = members(deal_added_);
   host_.rb_broadcast(ctx, lset);
   Message mv = base_msg(MsgType::kMwMonitorVal);
   mv.vals.push_back(my_poly_->constant());
@@ -233,24 +253,16 @@ void MwSvssSession::try_broadcast_lset(Context& ctx) {
 void MwSvssSession::moderator_progress(Context& ctx) {
   if (mset_sent_ || !whole_poly_ || !mod_input_) return;
   if (whole_poly_->constant() != *mod_input_) return;  // dealer != moderator
-  for (const auto& [j, v] : monitor_vals_) {
-    if (m_building_.count(j) != 0) continue;
-    if (v != whole_poly_->eval(point(j))) continue;
-    auto ls = lsets_.find(j);
-    if (ls == lsets_.end()) continue;
-    bool all_acked = true;
-    for (int l : ls->second) {
-      if (acked_.count(l) == 0) {
-        all_acked = false;
-        break;
-      }
-    }
-    if (all_acked) m_building_.insert(j);
+  for (int j = 0; j < static_cast<int>(monitor_vals_.size()); ++j) {
+    const auto& v = monitor_vals_[at(j)];
+    if (!v || m_building_.test(at(j))) continue;
+    if (*v != whole_poly_->eval(point(j)) || !lset_acked(j)) continue;
+    m_building_.set(at(j));
   }
-  if (static_cast<int>(m_building_.size()) >= n_ - t_) {
+  if (static_cast<int>(m_building_.count()) >= n_ - t_) {
     mset_sent_ = true;
     Message mset = base_msg(MsgType::kMwMset);
-    mset.ints.assign(m_building_.begin(), m_building_.end());
+    mset.ints = members(m_building_);
     host_.rb_broadcast(ctx, mset);
   }
 }
@@ -261,17 +273,13 @@ void MwSvssSession::moderator_progress(Context& ctx) {
 void MwSvssSession::dealer_progress(Context& ctx) {
   if (ok_sent_ || !dealt_ || !mset_) return;
   for (int j : *mset_) {
-    auto ls = lsets_.find(j);
-    if (ls == lsets_.end()) return;
-    for (int l : ls->second) {
-      if (acked_.count(l) == 0) return;
-    }
+    if (!lset_acked(j)) return;
   }
   ok_sent_ = true;
   for (int j : *mset_) {
-    for (int l : lsets_.at(j)) {
+    for (int l : lsets_[at(j)]) {
       host_.dmm().add_ack_entry(
-          ctx, l, j, sid_,
+          ctx, l, j, rec_,
           dealer_polys_[static_cast<std::size_t>(j)].eval(point(l)));
     }
   }
@@ -282,11 +290,7 @@ void MwSvssSession::dealer_progress(Context& ctx) {
 void MwSvssSession::try_complete_share(Context& ctx) {
   if (share_done_ || !ok_seen_ || !mset_) return;
   for (int l : *mset_) {
-    auto ls = lsets_.find(l);
-    if (ls == lsets_.end()) return;
-    for (int k : ls->second) {
-      if (acked_.count(k) == 0) return;
-    }
+    if (!lset_acked(l)) return;
   }
   share_done_ = true;
   ctx.log().record(
@@ -299,6 +303,8 @@ void MwSvssSession::try_complete_share(Context& ctx) {
 void MwSvssSession::start_reconstruct(Context& ctx) {
   if (recon_started_) return;
   recon_started_ = true;
+  kvals_.resize(at(n_));
+  fbar_.resize(at(n_));
   progress(ctx);
 }
 
@@ -309,12 +315,8 @@ void MwSvssSession::recon_progress(Context& ctx) {
   if (!recon_broadcast_done_ && row_vals_) {
     recon_broadcast_done_ = true;
     for (int l : *mset_) {
-      const auto& ls = lsets_.find(l);
-      if (ls == lsets_.end()) continue;
-      if (std::find(ls->second.begin(), ls->second.end(), self_) ==
-          ls->second.end()) {
-        continue;
-      }
+      const auto& ls = lsets_[at(l)];
+      if (std::find(ls.begin(), ls.end(), self_) == ls.end()) continue;
       Message rv = base_msg(MsgType::kMwReconVal);
       rv.a = static_cast<std::int16_t>(l);
       rv.vals.push_back((*row_vals_)[static_cast<std::size_t>(l)]);
@@ -329,29 +331,25 @@ void MwSvssSession::recon_progress(Context& ctx) {
     if (std::find(mset_->begin(), mset_->end(), rv.l) == mset_->end()) {
       continue;
     }
-    auto ls = lsets_.find(rv.l);
-    if (ls == lsets_.end()) continue;
-    if (std::find(ls->second.begin(), ls->second.end(), rv.from) ==
-        ls->second.end()) {
-      continue;
-    }
-    auto& k = kvals_[rv.l];
+    const auto& ls = lsets_[at(rv.l)];
+    if (std::find(ls.begin(), ls.end(), rv.from) == ls.end()) continue;
+    auto& k = kvals_[at(rv.l)];
     if (static_cast<int>(k.size()) >= t_ + 1) continue;
     k.emplace_back(point(rv.from), rv.x);
-    if (static_cast<int>(k.size()) == t_ + 1 && fbar_.count(rv.l) == 0) {
-      fbar_.emplace(rv.l, Polynomial::interpolate(k));
+    if (static_cast<int>(k.size()) == t_ + 1 && !fbar_[at(rv.l)]) {
+      fbar_[at(rv.l)] = Polynomial::interpolate(k);
     }
   }
 
   // R' step 4: with every monitor's polynomial in hand, interpolate f-bar
   // through the monitored points, or output bottom.
   for (int l : *mset_) {
-    if (fbar_.count(l) == 0) return;
+    if (!fbar_[at(l)]) return;
   }
   std::vector<std::pair<Fp, Fp>> pts;
   pts.reserve(mset_->size());
   for (int l : *mset_) {
-    pts.emplace_back(point(l), fbar_.at(l).constant());
+    pts.emplace_back(point(l), fbar_[at(l)]->constant());
   }
   auto f = Polynomial::interpolate_checked(pts, t_);
   output_ready_ = true;
@@ -360,28 +358,24 @@ void MwSvssSession::recon_progress(Context& ctx) {
                          output_ ? static_cast<std::int64_t>(output_->value())
                                  : 0,
                          output_.has_value()});
-  host_.dmm().note_complete(sid_);
+  host_.dmm().note_complete(rec_);
   host_.mw_recon_output(ctx, sid_, output_);
 }
 
 void MwSvssSession::compact() {
   if (!share_done_ || !output_ready_ || compacted_) return;
   compacted_ = true;
-  dealer_polys_.clear();
-  dealer_polys_.shrink_to_fit();
+  // Assigning a fresh container frees the storage (`= {}` would keep it).
+  auto release = [](auto& v) { v = std::remove_reference_t<decltype(v)>(); };
+  release(dealer_polys_);
   row_vals_.reset();
-  echo_from_.clear();
-  acked_.clear();
-  deal_added_.clear();
-  lsets_.clear();
-  monitor_vals_.clear();
-  m_building_.clear();
-  recon_vals_.clear();
-  recon_vals_.shrink_to_fit();
-  recon_seen_.clear();
-  recon_seen_.shrink_to_fit();
-  kvals_.clear();
-  fbar_.clear();
+  release(echo_from_);
+  release(lsets_);
+  release(monitor_vals_);
+  release(recon_vals_);
+  release(recon_seen_);
+  release(kvals_);
+  release(fbar_);
 }
 
 }  // namespace svss

@@ -14,9 +14,8 @@
 // f_l(0) = f(point(l)).
 #pragma once
 
-#include <map>
+#include <bitset>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/field.hpp"
@@ -29,6 +28,9 @@ namespace svss {
 
 // Field point of a 0-based process id.
 inline Fp point(int id) { return Fp(id + 1); }
+
+// A set of process ids (ids are bounded by kMaxN), iterated ascending.
+using PidSet = std::bitset<kMaxN>;
 
 // Services a MW-SVSS session needs from its owning process.  Implemented
 // by core::Node (and by test fixtures).
@@ -48,7 +50,7 @@ class MwHost {
 // inputs arrive through dealer initiation (deal), moderator input, the
 // reconstruct trigger, and pre-filtered messages; every handler re-runs the
 // step conditions of S' (steps 3-9) that could have become true.
-class MwSvssSession {
+class MwSvssSession : public SessionMachine {
  public:
   MwSvssSession(MwHost& host, SessionId sid, int self, int n, int t);
 
@@ -104,8 +106,12 @@ class MwSvssSession {
   [[nodiscard]] int dealer() const { return sid_.owner; }
   [[nodiscard]] int moderator() const { return sid_.moderator; }
   [[nodiscard]] bool valid_pid(int p) const { return p >= 0 && p < n_; }
+  static std::size_t at(int id) { return static_cast<std::size_t>(id); }
   // Checks that `ids` is a plausible participant set of size >= n - t.
   [[nodiscard]] bool valid_pid_set(const std::vector<int>& ids) const;
+  // True iff monitor l's L-hat set arrived and all its confirmers acked.
+  [[nodiscard]] bool lset_acked(int l) const;
+  [[nodiscard]] std::vector<int> members(const PidSet& set) const;
 
   void progress(Context& ctx);
   void try_echo_and_ack(Context& ctx);       // step 2
@@ -119,6 +125,7 @@ class MwSvssSession {
 
   MwHost& host_;
   SessionId sid_;
+  Dmm::Session& rec_;  // this session's DMM record
   int self_;
   int n_;
   int t_;
@@ -130,14 +137,15 @@ class MwSvssSession {
   bool ok_sent_ = false;
 
   // --- share-phase participant state ---
+  // Per-process tables are indexed by process id and iterated ascending.
   std::optional<FieldVec> row_vals_;        // f-hat^self_1..n from dealer
   std::optional<Polynomial> my_poly_;       // f-hat_self
   bool echoed_ = false;                     // step 2 done
-  std::map<int, Fp> echo_from_;             // l -> f-hat^l_self
-  std::set<int> acked_;                     // ack broadcasts seen
-  std::set<int> deal_added_;                // confirmers with DEAL entries
+  std::vector<std::optional<Fp>> echo_from_;  // l -> f-hat^l_self
+  PidSet acked_;                            // ack broadcasts seen
+  PidSet deal_added_;                       // confirmers with DEAL entries
   bool lset_sent_ = false;
-  std::map<int, std::vector<int>> lsets_;   // monitor l -> L-hat_l
+  std::vector<std::vector<int>> lsets_;     // monitor l -> L-hat_l (or empty)
   std::optional<std::vector<int>> mset_;    // M-hat from the moderator
   bool ok_seen_ = false;
   bool share_done_ = false;
@@ -145,8 +153,8 @@ class MwSvssSession {
   // --- moderator state ---
   std::optional<Polynomial> whole_poly_;    // f-hat from the dealer
   std::optional<Fp> mod_input_;             // s'
-  std::map<int, Fp> monitor_vals_;          // j -> f-hat^j(0)
-  std::set<int> m_building_;
+  std::vector<std::optional<Fp>> monitor_vals_;  // j -> f-hat^j(0)
+  PidSet m_building_;
   bool mset_sent_ = false;
 
   // --- reconstruct state ---
@@ -168,8 +176,9 @@ class MwSvssSession {
   // must not allocate per insert.
   std::vector<bool> recon_seen_;
   std::size_t recon_cursor_ = 0;
-  std::map<int, std::vector<std::pair<Fp, Fp>>> kvals_;  // l -> K_{self,l}
-  std::map<int, Polynomial> fbar_;          // l -> interpolated f-bar_l
+  // Sized n when the reconstruct starts.
+  std::vector<std::vector<std::pair<Fp, Fp>>> kvals_;  // l -> K_{self,l}
+  std::vector<std::optional<Polynomial>> fbar_;  // l -> interpolated f-bar_l
   bool output_ready_ = false;
   std::optional<Fp> output_;
   bool compacted_ = false;

@@ -64,10 +64,12 @@ const char* Metrics::type_group(MsgType type, bool* batched) {
 
 std::string Metrics::group_summary() const {
   // Fixed presentation order so the line is stable across runs.
+  // Must list every group type_group() returns, or packets go missing.
   static constexpr const char* kGroups[] = {"mw-rb",     "mw-direct",
                                             "svss-deal", "svss-gset",
                                             "coin",      "aba",
-                                            "ext",       "other"};
+                                            "ext",       "catchup",
+                                            "other"};
   std::string s;
   for (const char* group : kGroups) {
     std::uint64_t total = 0;

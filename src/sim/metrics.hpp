@@ -76,7 +76,7 @@ struct Metrics {
 
   // Traffic-group attribution: every MsgType belongs to one protocol
   // traffic group (mw-rb, mw-direct, svss-deal, svss-gset, coin, aba, ext,
-  // other) and is either per-session framing or a batch envelope.  The
+  // catchup, other) and is either per-session framing or a batch envelope.  The
   // (group, batched?) packet split is what makes a batching win directly
   // readable from a run summary — e.g. the stress lane's >=5x full-stack
   // packet-reduction claim.

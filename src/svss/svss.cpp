@@ -22,9 +22,8 @@ SessionId mw_child_id(const SessionId& parent, int dealer, int moderator,
 
 SvssSession::SvssSession(SvssHost& host, SessionId sid, int self, int n,
                          int t)
-    : host_(host), sid_(sid), self_(self), n_(n), t_(t),
-      g_building_(static_cast<std::size_t>(n)) {
-  host_.dmm().note_begin(sid_);
+    : host_(host), sid_(sid), rec_(host_.dmm().note_begin(sid_)),
+      self_(self), n_(n), t_(t), g_building_(static_cast<std::size_t>(n)) {
   // G_j contains j itself; pairs (j, l) contribute the other members.
   for (int j = 0; j < n; ++j) g_building_[static_cast<std::size_t>(j)].insert(j);
 }
@@ -314,7 +313,7 @@ void SvssSession::try_finish_recon(Context& ctx) {
                          output_ ? static_cast<std::int64_t>(output_->value())
                                  : 0,
                          output_.has_value()});
-  host_.dmm().note_complete(sid_);
+  host_.dmm().note_complete(rec_);
   host_.svss_recon_output(ctx, sid_, output_);
 }
 

@@ -47,7 +47,7 @@ class SvssHost {
                                  std::optional<Fp> value) = 0;
 };
 
-class SvssSession {
+class SvssSession : public SessionMachine {
  public:
   SvssSession(SvssHost& host, SessionId sid, int self, int n, int t);
 
@@ -92,6 +92,7 @@ class SvssSession {
 
   SvssHost& host_;
   SessionId sid_;
+  Dmm::Session& rec_;  // this session's DMM record
   int self_;
   int n_;
   int t_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <unordered_set>
 
 #include "common/rng.hpp"
@@ -221,6 +222,28 @@ TEST(Metrics, GroupSummaryAttributesPacketsPerGroupWithBatchedSplit) {
             " mw-direct=2 (1 batched) aba=1]");
   // The attribution rides on the human-readable digest.
   EXPECT_NE(m.summary().find("mw-rb=3 (1 batched)"), std::string::npos);
+}
+
+// The per-group counts account for every packet: one packet of every
+// MsgType sums to packets_sent across the printed groups.
+TEST(Metrics, GroupSummaryAccountsForEveryMessageType) {
+  Metrics m;
+  for (std::size_t slot = 0; slot < Metrics::kTypeSlots; ++slot) {
+    auto type = static_cast<MsgType>(slot);
+    if (std::string(msg_type_name(type)) == "unknown") continue;
+    m.note_type(type, 1);
+    ++m.packets_sent;
+  }
+  ASSERT_GT(m.packets_sent, 25u);
+  const std::string line = m.group_summary();
+  const std::regex group_count("([a-z-]+)=([0-9]+)");
+  std::uint64_t total = 0;
+  for (std::sregex_iterator it(line.begin(), line.end(), group_count), end;
+       it != end; ++it) {
+    total += std::stoull((*it)[2].str());
+  }
+  EXPECT_EQ(total, m.packets_sent) << line;
+  EXPECT_NE(line.find("catchup=2"), std::string::npos) << line;
 }
 
 }  // namespace

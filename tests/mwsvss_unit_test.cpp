@@ -61,7 +61,8 @@ class MockHost : public MwHost {
   std::optional<Fp> output;
 
  private:
-  Dmm dmm_{Dmm::Hooks{nullptr, [](Context&, int, const Message&, bool) {}}};
+  // Sized for the fixture's n = 4.
+  Dmm dmm_{4, Dmm::Hooks{nullptr, [](Context&, int, const Message&, bool) {}}};
 };
 
 // Fixture: n = 4, t = 1, dealer 0, moderator 1; the session under test

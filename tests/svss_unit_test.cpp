@@ -70,11 +70,12 @@ class MockSvssHost : public SvssHost {
                          std::optional<Fp>) override {}
 
    private:
-    Dmm dmm_{Dmm::Hooks{nullptr, [](Context&, int, const Message&, bool) {}}};
+    Dmm dmm_{static_cast<int>(kMaxN),
+             Dmm::Hooks{nullptr, [](Context&, int, const Message&, bool) {}}};
   };
 
   NullMwHost mw_host_;
-  Dmm dmm_{Dmm::Hooks{nullptr, [](Context&, int, const Message&, bool) {}}};
+  Dmm dmm_{n_, Dmm::Hooks{nullptr, [](Context&, int, const Message&, bool) {}}};
 };
 
 struct SvssUnit : public ::testing::Test {
