@@ -1,5 +1,7 @@
 #include "aba/aba.hpp"
 
+#include <stdexcept>
+
 namespace svss {
 
 namespace {
@@ -32,25 +34,14 @@ std::uint64_t mix64(std::uint64_t z) {
 AbaSession::AbaSession(AbaHost& host, int self, int n, int t, CoinMode mode,
                        std::uint64_t common_seed, std::uint32_t instance)
     : host_(host), self_(self), n_(n), t_(t), mode_(mode),
-      common_seed_(common_seed), instance_(instance) {}
+      common_seed_(common_seed), instance_(instance) {
+  if (n < 1 || n > static_cast<int>(kMaxN)) {
+    throw std::invalid_argument("AbaSession: n must lie in [1, kMaxN]");
+  }
+}
 
 AbaSession::Round& AbaSession::round_state(std::uint32_t r) {
   return rounds_[r];
-}
-
-// CONF sets over {0,1} travel as a 2-bit code.
-int AbaSession::encode_set(const std::set<int>& s) {
-  int code = 0;
-  for (int v : s) code |= 1 << v;
-  return code;
-}
-
-std::optional<std::set<int>> AbaSession::decode_set(int code) {
-  if (code < 1 || code > 3) return std::nullopt;
-  std::set<int> s;
-  if (code & 1) s.insert(0);
-  if (code & 2) s.insert(1);
-  return s;
 }
 
 AbaSession::RoundSnapshot AbaSession::snapshot(std::uint32_t r) const {
@@ -58,15 +49,15 @@ AbaSession::RoundSnapshot AbaSession::snapshot(std::uint32_t r) const {
   auto it = rounds_.find(r);
   if (it == rounds_.end()) return s;
   const Round& st = it->second;
-  s.est_senders[0] = st.est_from[0].size();
-  s.est_senders[1] = st.est_from[1].size();
+  s.est_senders[0] = static_cast<std::size_t>(st.est[0].count);
+  s.est_senders[1] = static_cast<std::size_t>(st.est[1].count);
   s.bin[0] = st.bin[0];
   s.bin[1] = st.bin[1];
   s.aux_sent = st.aux_sent;
-  s.aux_senders = st.aux_from.size();
-  s.v_frozen = st.v.has_value();
+  s.aux_senders = st.aux_from.count();
+  s.v_frozen = st.v != 0;
   s.conf_sent = st.conf_sent;
-  s.conf_senders = st.conf_from.size();
+  s.conf_senders = st.conf_from.count();
   s.conf_frozen = st.conf_frozen;
   s.has_coin = st.coin.has_value();
   return s;
@@ -82,16 +73,15 @@ void AbaSession::start(Context& ctx, int input) {
 void AbaSession::enter_round(Context& ctx, std::uint32_t r) {
   round_ = r;
   Round& st = round_state(r);
-  send_est(ctx, r, est_);
+  send_est(ctx, st, r, est_);
   if (!st.coin_started) {
     st.coin_started = true;
-    request_coin(ctx, r);
+    request_coin(ctx, st, r);
   }
   progress(ctx);
 }
 
-void AbaSession::request_coin(Context& ctx, std::uint32_t r) {
-  Round& st = round_state(r);
+void AbaSession::request_coin(Context& ctx, Round& st, std::uint32_t r) {
   switch (mode_) {
     case CoinMode::kSvss:
       host_.start_coin(ctx, instance_, r);
@@ -106,8 +96,7 @@ void AbaSession::request_coin(Context& ctx, std::uint32_t r) {
   }
 }
 
-void AbaSession::send_est(Context& ctx, std::uint32_t r, int v) {
-  Round& st = round_state(r);
+void AbaSession::send_est(Context& ctx, Round& st, std::uint32_t r, int v) {
   if (st.est_sent[v]) return;
   st.est_sent[v] = true;
   for (int to = 0; to < n_; ++to) {
@@ -115,26 +104,28 @@ void AbaSession::send_est(Context& ctx, std::uint32_t r, int v) {
   }
 }
 
+// Votes from ids outside [0, n) are ignored before any tally is touched.
 void AbaSession::on_direct(Context& ctx, int from, const Message& m) {
   if (m.type != MsgType::kAbaVote || m.ints.size() != 1) return;
   if (m.a < 1 || static_cast<std::uint32_t>(m.a) > kMaxRound) return;
+  if (!pid_ok(from)) return;
   auto r = static_cast<std::uint32_t>(m.a);
   int v = m.ints[0];
   switch (m.b) {
     case 0:  // EST
       if (v != 0 && v != 1) return;
-      round_state(r).est_from[v].insert(from);
+      round_state(r).est[v].add(from);
       break;
-    case 1:  // AUX
+    case 1: {  // AUX
       if (v != 0 && v != 1) return;
-      round_state(r).aux_from.emplace(from, v);
+      Round& st = round_state(r);
+      if (first_from(st.aux_from, from)) ++st.aux_count[v];
       break;
+    }
     case 3:  // DECIDE
       if (v != 0 && v != 1) return;
-      decide_from_[v].insert(from);
-      if (static_cast<int>(decide_from_[v].size()) >= t_ + 1) {
-        decide(ctx, v);
-      }
+      decide_from_[v].add(from);
+      if (decide_from_[v].count >= t_ + 1) decide(ctx, v);
       break;
     default:
       return;
@@ -145,10 +136,11 @@ void AbaSession::on_direct(Context& ctx, int from, const Message& m) {
 void AbaSession::on_broadcast(Context& ctx, int origin, const Message& m) {
   if (m.type != MsgType::kAbaVote || m.b != 2 || m.ints.size() != 1) return;
   if (m.a < 1 || static_cast<std::uint32_t>(m.a) > kMaxRound) return;
-  auto set = decode_set(m.ints[0]);
-  if (!set) return;
+  int code = m.ints[0];
+  if (code < 1 || code > 3 || !pid_ok(origin)) return;
   auto r = static_cast<std::uint32_t>(m.a);
-  round_state(r).conf_from.emplace(origin, std::move(*set));
+  Round& st = round_state(r);
+  if (first_from(st.conf_from, origin)) ++st.conf_count[code];
   if (started_ && r == round_) progress(ctx);
 }
 
@@ -159,90 +151,78 @@ void AbaSession::on_coin(Context& ctx, std::uint32_t round, int bit) {
   if (started_ && round == round_) progress(ctx);
 }
 
+// Rounds can advance several times per delivery: buffered future-round
+// votes may already satisfy the next round's thresholds, and enter_round
+// re-runs progress for the round it enters.
 void AbaSession::progress(Context& ctx) {
-  // Rounds can advance several times per delivery (buffered future-round
-  // messages may already satisfy the next round's thresholds).
-  for (;;) {
-    std::uint32_t r = round_;
-    Round& st = round_state(r);
-    if (st.advanced) return;
+  std::uint32_t r = round_;
+  Round& st = round_state(r);
+  if (st.advanced) return;
 
-    // Stage 1 — BV-broadcast: relay at t+1, accept into bin at 2t+1.
-    for (int v = 0; v < 2; ++v) {
-      if (static_cast<int>(st.est_from[v].size()) >= t_ + 1) {
-        send_est(ctx, r, v);
-      }
-      if (!st.bin[v] &&
-          static_cast<int>(st.est_from[v].size()) >= 2 * t_ + 1) {
-        st.bin[v] = true;
-        if (!st.aux_sent) {
-          st.aux_sent = true;
-          for (int to = 0; to < n_; ++to) {
-            host_.send_direct(ctx, to, vote_msg(instance_, r, 1, v));
-          }
+  // Stage 1 — BV-broadcast: relay at t+1, accept into bin at 2t+1.
+  for (int v = 0; v < 2; ++v) {
+    if (st.est[v].count >= t_ + 1) send_est(ctx, st, r, v);
+    if (!st.bin[v] && st.est[v].count >= 2 * t_ + 1) {
+      st.bin[v] = true;
+      if (!st.aux_sent) {
+        st.aux_sent = true;
+        for (int to = 0; to < n_; ++to) {
+          host_.send_direct(ctx, to, vote_msg(instance_, r, 1, v));
         }
       }
     }
-
-    // Stage 2 — AUX: freeze V as the union of n-t justified AUX values.
-    if (!st.v && st.aux_sent) {
-      std::set<int> vals;
-      int count = 0;
-      for (const auto& [sender, v] : st.aux_from) {
-        if (st.bin[v]) {
-          ++count;
-          vals.insert(v);
-        }
-      }
-      if (count >= n_ - t_) st.v = std::move(vals);
-    }
-
-    // Stage 3 — CONF via RB.
-    if (st.v && !st.conf_sent) {
-      st.conf_sent = true;
-      host_.rb_broadcast(ctx, vote_msg(instance_, r, 2, encode_set(*st.v)));
-    }
-    if (!st.v) return;
-    if (!st.conf_frozen) {
-      std::vector<const std::set<int>*> sample;
-      for (const auto& [origin, set] : st.conf_from) {
-        bool justified = true;
-        for (int v : set) {
-          if (!st.bin[v]) {
-            justified = false;
-            break;
-          }
-        }
-        if (justified) sample.push_back(&set);
-      }
-      if (static_cast<int>(sample.size()) < n_ - t_) return;
-      st.conf_frozen = true;
-      for (const auto* s : sample) {
-        if (s->size() == 1) st.singleton[*s->begin()]++;
-      }
-    }
-
-    // Tier rule on the frozen sample.  Re-entered when the coin arrives
-    // later than the CONF quota.
-    bool have_est = false;
-    for (int v = 0; v < 2; ++v) {
-      if (st.singleton[v] >= 2 * t_ + 1) {
-        decide(ctx, v);
-        est_ = v;
-        have_est = true;
-      } else if (st.singleton[v] >= t_ + 1) {
-        est_ = v;
-        have_est = true;
-      }
-    }
-    if (!have_est) {
-      if (!st.coin) return;  // wait for the round's coin
-      est_ = *st.coin;
-    }
-    st.advanced = true;
-    enter_round(ctx, r + 1);
-    return;  // enter_round already re-ran progress for the new round
   }
+  // Stage 2 — AUX: freeze V as the union of n-t justified AUX values.
+  if (st.v == 0 && st.aux_sent) {
+    int count = 0;
+    int vals = 0;
+    for (int v = 0; v < 2; ++v) {
+      if (st.bin[v] && st.aux_count[v] > 0) {
+        count += st.aux_count[v];
+        vals |= 1 << v;
+      }
+    }
+    if (count >= n_ - t_) st.v = vals;
+  }
+
+  // Stage 3 — CONF via RB.
+  if (st.v != 0 && !st.conf_sent) {
+    st.conf_sent = true;
+    host_.rb_broadcast(ctx, vote_msg(instance_, r, 2, st.v));
+  }
+  if (st.v == 0) return;
+  if (!st.conf_frozen) {
+    // The justified sample: CONF sets whose every value is in bin.
+    const int bin_code = (st.bin[0] ? 1 : 0) | (st.bin[1] ? 2 : 0);
+    int sample = 0;
+    for (int code = 1; code <= 3; ++code) {
+      if ((code & ~bin_code) == 0) sample += st.conf_count[code];
+    }
+    if (sample < n_ - t_) return;
+    st.conf_frozen = true;
+    st.singleton[0] = st.bin[0] ? st.conf_count[1] : 0;
+    st.singleton[1] = st.bin[1] ? st.conf_count[2] : 0;
+  }
+
+  // Tier rule on the frozen sample.  Re-entered when the coin arrives
+  // later than the CONF quota.
+  bool have_est = false;
+  for (int v = 0; v < 2; ++v) {
+    if (st.singleton[v] >= 2 * t_ + 1) {
+      decide(ctx, v);
+      est_ = v;
+      have_est = true;
+    } else if (st.singleton[v] >= t_ + 1) {
+      est_ = v;
+      have_est = true;
+    }
+  }
+  if (!have_est) {
+    if (!st.coin) return;  // wait for the round's coin
+    est_ = *st.coin;
+  }
+  st.advanced = true;
+  enter_round(ctx, r + 1);
 }
 
 void AbaSession::decide(Context& ctx, int value) {

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
@@ -69,7 +68,8 @@ class AbaSession {
  public:
   // `instance` distinguishes concurrent agreement instances on one node
   // (e.g. the n parallel instances of ACS); it is part of every message's
-  // session id and of the coin-round namespace.
+  // session id and of the coin-round namespace.  Vote tallies are
+  // fixed-width pid sets, so n must lie in [1, kMaxN].
   AbaSession(AbaHost& host, int self, int n, int t, CoinMode mode,
              std::uint64_t common_seed, std::uint32_t instance = 0);
 
@@ -104,17 +104,37 @@ class AbaSession {
   [[nodiscard]] RoundSnapshot snapshot(std::uint32_t r) const;
 
  private:
+  // Adds `pid` (in [0, n)) to `seen`; true iff it was not there yet.  Only
+  // a sender's first vote of a kind counts, so no tally depends on the
+  // order votes arrive in.
+  static bool first_from(PidSet& seen, int pid) {
+    const auto bit = static_cast<std::size_t>(pid);
+    if (seen.test(bit)) return false;
+    seen.set(bit);
+    return true;
+  }
+  // Distinct senders of one vote, with their number.
+  struct Tally {
+    PidSet from;
+    int count = 0;
+    void add(int pid) {
+      if (first_from(from, pid)) ++count;
+    }
+  };
+  // Value sets over {0,1} are 2-bit codes: 1 = {0}, 2 = {1}, 3 = {0,1}.
   struct Round {
-    std::set<int> est_from[2];   // senders of EST(v)
+    Tally est[2];  // senders of EST(v)
     bool est_sent[2] = {false, false};
     bool bin[2] = {false, false};
     bool aux_sent = false;
-    std::map<int, int> aux_from;    // sender -> first AUX value
-    std::optional<std::set<int>> v; // frozen AUX union
+    PidSet aux_from;             // senders of an AUX (first value wins)
+    int aux_count[2] = {0, 0};   // ... whose first AUX value is v
+    int v = 0;                   // frozen AUX union as a set code; 0 = open
     bool conf_sent = false;
-    std::map<int, std::set<int>> conf_from;  // origin -> CONF set
+    PidSet conf_from;            // origins of a CONF (first set wins)
+    int conf_count[4] = {0, 0, 0, 0};  // ... by the code of that first set
     bool conf_frozen = false;
-    int singleton[2] = {0, 0};  // frozen tally of CONF == {v}
+    int singleton[2] = {0, 0};   // frozen tally of CONF == {v}
     std::optional<int> coin;
     bool coin_started = false;
     bool advanced = false;
@@ -122,12 +142,12 @@ class AbaSession {
 
   void progress(Context& ctx);
   void enter_round(Context& ctx, std::uint32_t r);
-  void send_est(Context& ctx, std::uint32_t r, int v);
   void decide(Context& ctx, int value);
-  void request_coin(Context& ctx, std::uint32_t r);
+  // `st` is round r's state.
+  void send_est(Context& ctx, Round& st, std::uint32_t r, int v);
+  void request_coin(Context& ctx, Round& st, std::uint32_t r);
   Round& round_state(std::uint32_t r);
-  [[nodiscard]] static std::optional<std::set<int>> decode_set(int code);
-  [[nodiscard]] static int encode_set(const std::set<int>& s);
+  [[nodiscard]] bool pid_ok(int pid) const { return pid >= 0 && pid < n_; }
 
   AbaHost& host_;
   int self_;
@@ -140,11 +160,13 @@ class AbaSession {
   bool started_ = false;
   int est_ = 0;
   std::uint32_t round_ = 0;  // current round, 1-based once started
+  // One record per round a vote or coin named.  Map nodes never move, so
+  // a Round& stays valid while later rounds are inserted.
   std::map<std::uint32_t, Round> rounds_;
   std::optional<int> decision_;
   std::uint32_t decision_round_ = 0;
   bool decide_sent_ = false;
-  std::map<int, std::set<int>> decide_from_;  // value -> senders
+  Tally decide_from_[2];  // senders of DECIDE(v)
 };
 
 }  // namespace svss

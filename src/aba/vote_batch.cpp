@@ -35,6 +35,14 @@ Message sub_vote(std::uint32_t instance, std::uint32_t round, int subtype,
   return m;
 }
 
+// Rewrites a sub_vote() message in place with a validated run's fields.
+void refill(Message& m, int instance, int round, int subtype, int value) {
+  m.sid.instance = static_cast<std::uint32_t>(instance);
+  m.a = static_cast<std::int16_t>(round);
+  m.b = static_cast<std::int16_t>(subtype);
+  m.ints[0] = value;
+}
+
 }  // namespace
 
 AbaVoteBatcher::AbaVoteBatcher(int self, int n) : self_(self), n_(n) {
@@ -139,6 +147,9 @@ void AbaVoteBatcher::unpack(Context& ctx, int sender, const Message& m,
   if (m.sid.instance != 0) return;
   if (!m.vals.empty() || !m.blob.empty() || m.ints.empty()) return;
 
+  // Every sub-vote is delivered through one Message refilled in place: the
+  // sinks never keep a reference past the call, so the envelope costs one
+  // ints buffer, not one per sub-vote.
   if (m.type == MsgType::kAbaBatchVote) {
     if (via_rb || m.sid.counter != 0) return;
     if (m.ints.size() % 4 != 0) return;
@@ -149,12 +160,10 @@ void AbaVoteBatcher::unpack(Context& ctx, int sender, const Message& m,
       int subtype = m.ints[i + 2];
       if (subtype != 0 && subtype != 1 && subtype != 3) return;
     }
+    Message sub = sub_vote(0, 0, 0, 0);
     for (std::size_t i = 0; i < m.ints.size(); i += 4) {
-      sink(ctx, sender,
-           sub_vote(static_cast<std::uint32_t>(m.ints[i]),
-                    static_cast<std::uint32_t>(m.ints[i + 1]), m.ints[i + 2],
-                    m.ints[i + 3]),
-           /*via_rb=*/false);
+      refill(sub, m.ints[i], m.ints[i + 1], m.ints[i + 2], m.ints[i + 3]);
+      sink(ctx, sender, sub, /*via_rb=*/false);
     }
     return;
   }
@@ -164,12 +173,10 @@ void AbaVoteBatcher::unpack(Context& ctx, int sender, const Message& m,
     for (std::size_t i = 0; i < m.ints.size(); i += 3) {
       if (m.ints[i] < 0 || !round_ok(m.ints[i + 1])) return;
     }
+    Message sub = sub_vote(0, 0, 2, 0);
     for (std::size_t i = 0; i < m.ints.size(); i += 3) {
-      sink(ctx, sender,
-           sub_vote(static_cast<std::uint32_t>(m.ints[i]),
-                    static_cast<std::uint32_t>(m.ints[i + 1]), 2,
-                    m.ints[i + 2]),
-           /*via_rb=*/true);
+      refill(sub, m.ints[i], m.ints[i + 1], 2, m.ints[i + 2]);
+      sink(ctx, sender, sub, /*via_rb=*/true);
     }
     return;
   }

@@ -312,15 +312,12 @@ void Node::start_aba(Context& ctx, int input, CoinMode mode,
 }
 
 AbaSession& Node::aba_instance(std::uint32_t instance) {
-  auto it = abas_.find(instance);
-  if (it == abas_.end()) {
-    it = abas_.emplace(instance,
-                       std::make_unique<AbaSession>(*this, self_, n_, t_,
-                                                    aba_mode_, aba_seed_,
-                                                    instance))
-             .first;
+  std::unique_ptr<AbaSession>& slot = abas_[instance];
+  if (!slot) {
+    slot = std::make_unique<AbaSession>(*this, self_, n_, t_, aba_mode_,
+                                        aba_seed_, instance);
   }
-  return *it->second;
+  return *slot;
 }
 
 void Node::start_acs(Context& ctx, Bytes proposal, CoinMode mode,
@@ -399,13 +396,13 @@ void Node::acs_start_aba(Context& ctx, std::uint32_t instance, int input) {
 }
 
 AbaSession* Node::aba(std::uint32_t instance) {
-  auto it = abas_.find(instance);
-  return it == abas_.end() ? nullptr : it->second.get();
+  const std::unique_ptr<AbaSession>* slot = abas_.find(instance);
+  return slot == nullptr ? nullptr : slot->get();
 }
 
 const AbaSession* Node::aba(std::uint32_t instance) const {
-  auto it = abas_.find(instance);
-  return it == abas_.end() ? nullptr : it->second.get();
+  const std::unique_ptr<AbaSession>* slot = abas_.find(instance);
+  return slot == nullptr ? nullptr : slot->get();
 }
 
 void Node::start_benor(Context& ctx, int input) {
@@ -540,8 +537,7 @@ void Node::svss_recon_output(Context& ctx, const SessionId& sid,
 
 void Node::coin_output(Context& ctx, std::uint32_t instance,
                        std::uint32_t round, int bit) {
-  auto it = abas_.find(instance);
-  if (it != abas_.end()) it->second->on_coin(ctx, round, bit);
+  if (AbaSession* a = aba(instance)) a->on_coin(ctx, round, bit);
   if (instance == 0 && observers.coin_output) {
     observers.coin_output(ctx, round, bit);
   }

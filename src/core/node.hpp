@@ -29,6 +29,7 @@
 #include "asmpc/secure_sum.hpp"
 #include "coin/batched_transport.hpp"
 #include "coin/coin.hpp"
+#include "common/flat_map.hpp"
 #include "dmm/dmm.hpp"
 #include "mwsvss/group_transport.hpp"
 #include "mwsvss/mwsvss.hpp"
@@ -198,7 +199,10 @@ class Node : public IProcess,
   std::unique_ptr<AbaVoteBatcher> vote_batch_;
   // Keyed by (instance << 32) | round.
   std::unordered_map<std::uint64_t, std::unique_ptr<CoinSession>> coins_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<AbaSession>> abas_;
+  // Agreement instances by id: one probe per vote on the hot path.
+  FlatMap<std::uint32_t, std::unique_ptr<AbaSession>,
+          std::hash<std::uint32_t>>
+      abas_;
   std::unique_ptr<BenOrSession> benor_;
   std::unique_ptr<AcsSession> acs_;
   std::unique_ptr<SecureSumSession> sum_;

@@ -521,6 +521,40 @@ void Runner::submit(std::uint32_t instance, std::vector<int> inputs) {
 
 namespace {
 
+// "Every submitted instance has decided at this node", the completion
+// predicate of both run_submitted backends.  It runs after every delivery,
+// so each node walks the submitted ids with a cursor of its own: decided()
+// never reverts, so an instance once passed is never probed again and a
+// check costs O(1) amortized rather than a scan of all k instances.  A
+// node's cursor is touched only by checks of that node, so the loopback
+// backend's per-node threads share no mutable state.
+class AllSubmittedDecided {
+ public:
+  AllSubmittedDecided(
+      const std::map<std::uint32_t, std::vector<int>>& submitted, int n)
+      : next_(static_cast<std::size_t>(n), 0) {
+    instances_.reserve(submitted.size());
+    for (const auto& [instance, inputs] : submitted) {
+      (void)inputs;
+      instances_.push_back(instance);
+    }
+  }
+
+  bool operator()(const Node& nd) {
+    std::size_t& next = next_[static_cast<std::size_t>(nd.self())];
+    while (next < instances_.size()) {
+      const AbaSession* a = nd.aba(instances_[next]);
+      if (a == nullptr || !a->decided()) return false;
+      ++next;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<std::uint32_t> instances_;
+  std::vector<std::size_t> next_;  // per node: instances_[0, next) decided
+};
+
 // Shared result collection for both backends: `get` maps a process id to
 // its (possibly remote) Node.
 Runner::MultiAbaResult collect_submitted(
@@ -591,18 +625,12 @@ Runner::MultiAbaResult Runner::run_submitted(CoinMode mode) {
       }
     });
   }
-  MultiAbaResult res;
-  const std::map<std::uint32_t, std::vector<int>>& submitted = submitted_;
-  res.status = run_until_honest([&submitted](const Node& nd) {
-    for (const auto& [instance, inputs] : submitted) {
-      const AbaSession* a = nd.aba(instance);
-      if (a == nullptr || !a->decided()) return false;
-    }
-    return true;
-  });
+  AllSubmittedDecided all_decided(submitted_, cfg_.n);
+  RunStatus status = run_until_honest(
+      [&all_decided](const Node& nd) { return all_decided(nd); });
   MultiAbaResult collected = collect_submitted(
       submitted_, honest_ids(), [this](int i) -> Node& { return node(i); });
-  collected.status = res.status;
+  collected.status = status;
   collected.metrics = engine_.metrics();
   submitted_.clear();
   return collected;
@@ -623,15 +651,9 @@ Runner::MultiAbaResult Runner::run_submitted_loopback(CoinMode mode) {
           }
         });
   }
-  const std::map<std::uint32_t, std::vector<int>>& submitted = submitted_;
+  AllSubmittedDecided all_decided(submitted_, cfg_.n);
   bool finished = cluster.run(
-      [&submitted](const Node& nd) {
-        for (const auto& [instance, inputs] : submitted) {
-          const AbaSession* a = nd.aba(instance);
-          if (a == nullptr || !a->decided()) return false;
-        }
-        return true;
-      },
+      [&all_decided](const Node& nd) { return all_decided(nd); },
       [this](int i) { return is_honest(i); });
   MultiAbaResult res = collect_submitted(
       submitted_, honest_ids(),

@@ -14,7 +14,6 @@
 // f_l(0) = f(point(l)).
 #pragma once
 
-#include <bitset>
 #include <optional>
 #include <vector>
 
@@ -28,9 +27,6 @@ namespace svss {
 
 // Field point of a 0-based process id.
 inline Fp point(int id) { return Fp(id + 1); }
-
-// A set of process ids (ids are bounded by kMaxN), iterated ascending.
-using PidSet = std::bitset<kMaxN>;
 
 // Services a MW-SVSS session needs from its owning process.  Implemented
 // by core::Node (and by test fixtures).

@@ -8,6 +8,7 @@
 // instance (creating it on first contact) and so DMM can order sessions.
 #pragma once
 
+#include <bitset>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -36,6 +37,9 @@ enum class SessionPath : std::uint8_t {
 
 // Number of attachees encodable in an SVSS-in-coin counter (round*kMaxN+j).
 inline constexpr std::uint32_t kMaxN = 128;
+
+// A set of process ids (ids are bounded by kMaxN), iterated ascending.
+using PidSet = std::bitset<kMaxN>;
 
 struct SessionId {
   SessionPath path = SessionPath::kTest;

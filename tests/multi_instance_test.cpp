@@ -20,6 +20,8 @@
 //     set, riding the batched envelopes over real TCP untranslated.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/runner.hpp"
 
 namespace svss {
@@ -151,6 +153,53 @@ TEST(MultiInstance, SocketLoopbackMatchesSim) {
   expect_valid_decisions(loopback, "socket-loopback");
   EXPECT_EQ(sim.values, loopback.values);
   EXPECT_EQ(sim.decisions, loopback.decisions);
+}
+
+// Non-contiguous instance ids that decide out of submission order: the
+// completion check walks the submitted ids with a per-node cursor, so it
+// must keep waiting on the slow low ids after the fast high ids decided.
+// The two lowest ids get split inputs (they need later rounds); the rest
+// are unanimous and decide in round 1.  Both backends must finish with
+// every instance decided at every node.
+TEST(MultiInstance, NonContiguousIdsDecidingOutOfOrderAllComplete) {
+  const std::vector<std::uint32_t> ids = {3, 12, 77, 900, 5000};
+  auto submit = [&ids](Runner& r) {
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      std::vector<int> inputs;
+      for (int p = 0; p < kN; ++p) inputs.push_back(k < 2 ? p % 2 : 1);
+      r.submit(ids[k], inputs);
+    }
+  };
+  auto check = [&ids](const Runner::MultiAbaResult& res, const char* label) {
+    EXPECT_TRUE(res.all_decided) << label;
+    EXPECT_TRUE(res.agreed) << label;
+    EXPECT_EQ(res.status, RunStatus::kQuiescent) << label;
+    for (std::uint32_t id : ids) {
+      ASSERT_EQ(res.decisions.at(id).size(), static_cast<std::size_t>(kN))
+          << label << " instance " << id;
+    }
+    for (std::size_t k = 2; k < ids.size(); ++k) {
+      EXPECT_EQ(res.values.at(ids[k]), 1) << label << " instance " << ids[k];
+    }
+  };
+
+  RunnerConfig cfg = base_config(7361);
+  Runner sim(cfg);
+  submit(sim);
+  std::vector<std::uint32_t> order;  // decision order at node 0
+  sim.node(0).observers.aba_decided =
+      [&order](Context&, int, std::uint32_t, std::uint32_t instance) {
+        order.push_back(instance);
+      };
+  check(sim.run_submitted(CoinMode::kIdealCommon), "sim");
+  ASSERT_EQ(order.size(), ids.size());
+  EXPECT_FALSE(std::is_sorted(order.begin(), order.end()))
+      << "instances decided in submission order; the case is vacuous";
+
+  cfg.transport.kind = TransportKind::kSocketLoopback;
+  Runner loopback(cfg);
+  submit(loopback);
+  check(loopback.run_submitted(CoinMode::kIdealCommon), "socket-loopback");
 }
 
 TEST(MultiInstance, SubmitValidatesItsArguments) {
