@@ -45,35 +45,23 @@ void refill(Message& m, int instance, int round, int subtype, int value) {
 
 }  // namespace
 
-AbaVoteBatcher::AbaVoteBatcher(int self, int n) : self_(self), n_(n) {
+AbaVoteBatcher::AbaVoteBatcher(int n) : n_(n) {
   direct_.resize(static_cast<std::size_t>(n));
 }
 
-bool AbaVoteBatcher::is_batch_type(MsgType type) {
-  return type == MsgType::kAbaBatchVote || type == MsgType::kAbaBatchConf;
-}
-
-void AbaVoteBatcher::open_window() {
-  window_open_ = true;
-  captured_ = 0;
-}
-
 bool AbaVoteBatcher::capture_broadcast(const Message& m) {
-  if (!window_open_ || m.type != MsgType::kAbaVote) return false;
-  if (!canonical_vote_sid(m.sid)) return false;
+  if (m.type != MsgType::kAbaVote || !canonical_vote_sid(m.sid)) return false;
   if (m.b != 2 || m.ints.size() != 1 || !m.vals.empty() || !m.blob.empty()) {
     return false;
   }
   if (!round_ok(m.a)) return false;
   confs_.push_back(PendingConf{m.sid.instance,
                                static_cast<std::uint32_t>(m.a), m.ints[0]});
-  ++captured_;
   return true;
 }
 
 bool AbaVoteBatcher::capture_direct(int to, const Message& m) {
-  if (!window_open_ || m.type != MsgType::kAbaVote) return false;
-  if (to < 0 || to >= n_) return false;
+  if (m.type != MsgType::kAbaVote || to < 0 || to >= n_) return false;
   if (!canonical_vote_sid(m.sid)) return false;
   if (m.ints.size() != 1 || !m.vals.empty() || !m.blob.empty()) return false;
   if (m.b != 0 && m.b != 1 && m.b != 3) return false;
@@ -81,18 +69,10 @@ bool AbaVoteBatcher::capture_direct(int to, const Message& m) {
   direct_[static_cast<std::size_t>(to)].push_back(
       PendingVote{m.sid.instance, static_cast<std::uint32_t>(m.a), m.b,
                   m.ints[0]});
-  ++captured_;
   return true;
 }
 
-bool AbaVoteBatcher::close_window_if_empty() {
-  if (captured_ != 0) return false;
-  window_open_ = false;
-  return true;
-}
-
-void AbaVoteBatcher::close_window(Context& ctx, const EmitFns& emit) {
-  window_open_ = false;
+void AbaVoteBatcher::flush(EnvelopeEmit emit) {
   for (int to = 0; to < n_; ++to) {
     std::vector<PendingVote>& votes = direct_[static_cast<std::size_t>(to)];
     if (votes.empty()) continue;
@@ -101,7 +81,7 @@ void AbaVoteBatcher::close_window(Context& ctx, const EmitFns& emit) {
       // per-session message so single-instance runs keep their exact
       // unbatched wire image.
       const PendingVote& v = votes[0];
-      emit.send(ctx, to, sub_vote(v.instance, v.round, v.subtype, v.value));
+      emit(to, sub_vote(v.instance, v.round, v.subtype, v.value));
     } else {
       Message env;
       env.sid = envelope_sid(0);
@@ -113,33 +93,31 @@ void AbaVoteBatcher::close_window(Context& ctx, const EmitFns& emit) {
         env.ints.push_back(v.subtype);
         env.ints.push_back(v.value);
       }
-      emit.send(ctx, to, std::move(env));
+      emit(to, std::move(env));
     }
     votes.clear();
   }
-  if (!confs_.empty()) {
-    if (confs_.size() == 1) {
-      const PendingConf& c = confs_[0];
-      emit.broadcast(ctx, sub_vote(c.instance, c.round, 2, c.setcode));
-    } else {
-      Message env;
-      env.sid = envelope_sid(flush_seq_++);
-      env.type = MsgType::kAbaBatchConf;
-      env.ints.reserve(confs_.size() * 3);
-      for (const PendingConf& c : confs_) {
-        env.ints.push_back(static_cast<int>(c.instance));
-        env.ints.push_back(static_cast<int>(c.round));
-        env.ints.push_back(c.setcode);
-      }
-      emit.broadcast(ctx, env);
+  if (confs_.empty()) return;
+  if (confs_.size() == 1) {
+    const PendingConf& c = confs_[0];
+    emit(kBroadcastEnvelope, sub_vote(c.instance, c.round, 2, c.setcode));
+  } else {
+    Message env;
+    env.sid = envelope_sid(flush_seq_++);
+    env.type = MsgType::kAbaBatchConf;
+    env.ints.reserve(confs_.size() * 3);
+    for (const PendingConf& c : confs_) {
+      env.ints.push_back(static_cast<int>(c.instance));
+      env.ints.push_back(static_cast<int>(c.round));
+      env.ints.push_back(c.setcode);
     }
-    confs_.clear();
+    emit(kBroadcastEnvelope, std::move(env));
   }
-  captured_ = 0;
+  confs_.clear();
 }
 
 void AbaVoteBatcher::unpack(Context& ctx, int sender, const Message& m,
-                            bool via_rb, const SubMessageSink& sink) {
+                            bool via_rb, UnpackSink sink) {
   if (m.sid.path != SessionPath::kAba || m.sid.variant != 4) return;
   if (m.sid.owner != -1 || m.sid.moderator != -1 || m.sid.svss_dealer != -1) {
     return;

@@ -7,11 +7,10 @@
 // `aba-vote`; per-instance framing pays the fixed per-packet cost k times
 // for votes that leave the same node in the same cascade.
 //
-// This transport coalesces that traffic the way the PR-4 coin batcher
-// coalesces dealing and the PR-5 group transport coalesces MW children: a
-// capture window brackets one delivery cascade, collects the per-session
-// votes the sessions hand to their host, and flushes them at window close
-// as
+// This layer coalesces that traffic the way the coin batcher coalesces
+// dealing and the group transport coalesces MW children: the node's cascade
+// coalescer (core/coalescer.hpp) hands it the per-session votes captured
+// during one delivery cascade, and it packs them at cascade close as
 //
 //  * kAbaBatchVote (direct): all captured EST/AUX/DECIDE votes bound for
 //    one recipient, concatenated as flat (instance, round, subtype, value)
@@ -23,7 +22,7 @@
 //
 // Flushing happens in the same delivery that produced the votes — nothing
 // is ever withheld across deliveries — so this is framing, never
-// scheduling policy.  A window that captured exactly one vote for a
+// scheduling policy.  A cascade that captured exactly one vote for a
 // recipient (or one CONF) re-emits the original per-session message: the
 // envelope framing only kicks in when there is something to share.
 //
@@ -34,7 +33,7 @@
 // one run.  Envelope sids live in the kAba variant-4 space with
 // instance 0; CONF envelopes consume a per-node flush sequence in the
 // counter slot so each flush is its own RBC instance.  Byzantine caveat
-// (mirroring the PR-5 group transport): a faulty node can spread
+// (mirroring the MW group transport): a faulty node can spread
 // conflicting CONF sets for one (instance, round) across distinct flush
 // envelopes, so batched CONF degrades from reliable-broadcast to
 // plain-broadcast equivocation semantics — agreement safety never rests
@@ -43,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -53,39 +51,23 @@ namespace svss {
 
 class AbaVoteBatcher {
  public:
-  // Sink receiving the per-session messages of an unpacked envelope.
-  using SubMessageSink =
-      std::function<void(Context&, int sender, const Message&, bool via_rb)>;
-  // Emission hooks used at window close: `broadcast` RBs a batch envelope,
-  // `send` delivers a direct envelope to one recipient.
-  struct EmitFns {
-    std::function<void(Context&, const Message&)> broadcast;
-    std::function<void(Context&, int to, Message)> send;
-  };
+  explicit AbaVoteBatcher(int n);
 
-  AbaVoteBatcher(int self, int n);
-
-  // True for envelope types this transport owns.
-  static bool is_batch_type(MsgType type);
+  // True for envelope types this layer owns.
+  static bool is_batch_type(MsgType type) {
+    return type == MsgType::kAbaBatchVote || type == MsgType::kAbaBatchConf;
+  }
 
   // --- sender side -------------------------------------------------
-  // The window brackets one delivery cascade (core::Node opens it around
-  // on_packet/start and closes it before returning to the engine).
-  void open_window();
-  [[nodiscard]] bool window_open() const { return window_open_; }
-  // Collects one per-session vote while the window is open; returns false
-  // (caller sends normally) for anything but a well-formed kAbaVote in the
-  // variant-0 agreement space.
+  // Collects one per-session vote; returns false (caller sends normally)
+  // for anything but a well-formed kAbaVote in the variant-0 agreement
+  // space.
   bool capture_broadcast(const Message& m);
   bool capture_direct(int to, const Message& m);
-  // Closes a window that captured nothing, skipping the emit plumbing —
-  // the common case for cascades of non-agreement traffic.  Returns false
-  // (and leaves the window open) when there are captures to flush.
-  bool close_window_if_empty();
-  // Emits the captured envelopes (recipients ascending, CONF last) and
-  // closes the window.  Single-vote recipients get the original
+  // Packs the captured votes (recipients ascending, CONF last) and hands
+  // each envelope to `emit`.  Single-vote recipients get the original
   // per-session message instead of an envelope.
-  void close_window(Context& ctx, const EmitFns& emit);
+  void flush(EnvelopeEmit emit);
 
   // --- receiver side -----------------------------------------------
   // Splits an envelope into its per-session kAbaVote messages and hands
@@ -94,11 +76,11 @@ class AbaVoteBatcher {
   // whole, mirroring RBC's treatment of garbage; the sub-messages then
   // re-enter the exact validation AbaSession applies to unbatched votes.
   static void unpack(Context& ctx, int sender, const Message& m, bool via_rb,
-                     const SubMessageSink& sink);
+                     UnpackSink sink);
 
  private:
-  // One captured direct vote: the flat-run fields plus the original
-  // message for the single-vote fallback.
+  // One captured direct vote: the flat-run fields, which also rebuild the
+  // original message for the single-vote fallback.
   struct PendingVote {
     std::uint32_t instance;
     std::uint32_t round;
@@ -111,15 +93,11 @@ class AbaVoteBatcher {
     int setcode;
   };
 
-  int self_;
   int n_;
-
-  bool window_open_ = false;
   std::vector<std::vector<PendingVote>> direct_;  // per recipient
   std::vector<PendingConf> confs_;                // capture order
-  std::size_t captured_ = 0;
   // Per-flush RBC instance counter for CONF envelopes, persisted across
-  // windows: each flush is its own RBC instance (sid.counter), so a
+  // cascades: each flush is its own RBC instance (sid.counter), so a
   // straggler flush never collides with an earlier one.  Monotone and
   // never reset — a reused counter would make an honest node equivocate
   // against itself.

@@ -4,8 +4,8 @@
 
 namespace svss {
 
-BatchedSvssTransport::BatchedSvssTransport(int self, int n, int t)
-    : self_(self), n_(n), t_(t) {}
+BatchedSvssTransport::BatchedSvssTransport(int self, int n)
+    : self_(self), n_(n) {}
 
 SessionId BatchedSvssTransport::batch_sid(std::uint32_t round, int dealer,
                                           std::uint32_t instance) {
@@ -26,27 +26,22 @@ std::uint64_t round_key(std::uint32_t instance, std::uint32_t round) {
 
 }  // namespace
 
-bool BatchedSvssTransport::is_batch_type(MsgType type) {
-  return type == MsgType::kSvssBatchShares || type == MsgType::kSvssBatchGset;
-}
-
 // ---------------------------------------------------------------------
 // Dealer side
 // ---------------------------------------------------------------------
-void BatchedSvssTransport::open_window(std::uint32_t instance,
-                                       std::uint32_t round) {
-  window_open_ = true;
-  window_instance_ = instance;
-  window_round_ = round;
+void BatchedSvssTransport::begin_dealing(std::uint32_t instance,
+                                         std::uint32_t round) {
+  dealing_instance_ = instance;
+  dealing_round_ = round;
   pending_vals_.assign(static_cast<std::size_t>(n_), FieldVec{});
   pending_count_.assign(static_cast<std::size_t>(n_), 0);
 }
 
 bool BatchedSvssTransport::capture_dealer_shares(int to, const Message& m) {
-  if (!window_open_ || m.type != MsgType::kSvssDealerShares ||
+  if (m.type != MsgType::kSvssDealerShares ||
       m.sid.path != SessionPath::kSvssCoin || m.sid.owner != self_ ||
-      m.sid.instance != window_instance_ ||
-      m.sid.counter / kMaxN != window_round_ || to < 0 || to >= n_) {
+      m.sid.instance != dealing_instance_ ||
+      m.sid.counter / kMaxN != dealing_round_ || to < 0 || to >= n_) {
     return false;
   }
   auto slot = static_cast<std::size_t>(to);
@@ -59,20 +54,18 @@ bool BatchedSvssTransport::capture_dealer_shares(int to, const Message& m) {
   return true;
 }
 
-void BatchedSvssTransport::close_window(Context& ctx) {
-  if (!window_open_) return;
-  window_open_ = false;
+void BatchedSvssTransport::flush_dealing(EnvelopeEmit emit) {
   for (int to = 0; to < n_; ++to) {
     auto slot = static_cast<std::size_t>(to);
     // Dealing is all-or-nothing per round: anything else means a caller
-    // misused the window, and a partial batch would fail the receiver's
-    // size check anyway.
+    // misused the dealing bracket, and a partial batch would fail the
+    // receiver's size check anyway.
     if (pending_count_[slot] != n_) continue;
     Message m;
-    m.sid = batch_sid(window_round_, self_, window_instance_);
+    m.sid = batch_sid(dealing_round_, self_, dealing_instance_);
     m.type = MsgType::kSvssBatchShares;
     m.vals = std::move(pending_vals_[slot]);
-    ctx.send(to, make_direct(std::move(m)));
+    emit(to, std::move(m));
   }
   pending_vals_.clear();
   pending_count_.clear();
@@ -109,7 +102,7 @@ std::optional<Message> BatchedSvssTransport::capture_gset(const Message& m) {
 // ---------------------------------------------------------------------
 void BatchedSvssTransport::unpack(Context& ctx, int n, int t, int sender,
                                   const Message& m, bool via_rb,
-                                  const SubMessageSink& sink) {
+                                  UnpackSink sink) {
   if (m.sid.path != SessionPath::kSvssCoin || m.sid.variant != 1 ||
       m.sid.counter % kMaxN != 0) {
     return;

@@ -10,10 +10,11 @@
 //
 //  * kSvssBatchShares (direct): the dealer's n per-session
 //    kSvssDealerShares messages to one recipient, concatenated in attachee
-//    order.  CoinSession::start opens a capture window around its dealing
-//    loop; the sessions still run their unmodified deal() code, and the
-//    window collects what they hand to send_direct.  One message per
-//    recipient replaces n.
+//    order.  CoinSession::start brackets its dealing loop with the
+//    CoinHost::svss_batch_window hook; the sessions still run their
+//    unmodified deal() code, and the node's cascade coalescer
+//    (core/coalescer.hpp) hands this layer what they send meanwhile and
+//    flushes it when the loop ends.  One message per recipient replaces n.
 //  * kSvssBatchGset (RB): the n per-session kSvssGset broadcasts of one
 //    dealer, concatenated once the last sibling produced its set.  One RBC
 //    instance — one shared set of echo/ready rounds — replaces n.  This is
@@ -25,12 +26,11 @@
 // through the normal per-session routing (DMM filter included), so every
 // correctness property keeps quantifying over individual SvssSessions, and
 // batched and unbatched processes interoperate in one run.  Wire values are
-// bit-identical to the unbatched path: the capture window changes framing,
-// never content or RNG consumption order (tests/batch_equivalence_test).
+// bit-identical to the unbatched path: capturing changes framing, never
+// content or RNG consumption order (tests/batch_equivalence_test).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <utility>
@@ -43,30 +43,27 @@ namespace svss {
 
 class BatchedSvssTransport {
  public:
-  // Sink receiving the per-session messages of an unpacked envelope.
-  using SubMessageSink =
-      std::function<void(Context&, int sender, const Message&, bool via_rb)>;
-
-  BatchedSvssTransport(int self, int n, int t);
+  BatchedSvssTransport(int self, int n);
 
   // Session id carried by both envelope types of (instance, round, dealer):
   // the attachee-0 slot with variant 1 marking "batch envelope".
   static SessionId batch_sid(std::uint32_t round, int dealer,
                              std::uint32_t instance = 0);
-  // True for message types this transport owns.
-  static bool is_batch_type(MsgType type);
+  // True for message types this layer owns.
+  static bool is_batch_type(MsgType type) {
+    return type == MsgType::kSvssBatchShares ||
+           type == MsgType::kSvssBatchGset;
+  }
 
   // --- dealer side -------------------------------------------------
-  // Capture window around CoinSession::start's dealing loop.
-  void open_window(std::uint32_t instance, std::uint32_t round);
-  [[nodiscard]] bool window_open() const { return window_open_; }
-  // Collects one per-session dealer-shares message while the window is
-  // open; returns false (caller sends normally) outside the window or for
-  // foreign sessions.
+  // Starts collecting the dealing of this node's (instance, round).
+  void begin_dealing(std::uint32_t instance, std::uint32_t round);
+  // Collects one per-session dealer-shares message of that dealing;
+  // returns false (caller sends normally) for any other message.
   bool capture_dealer_shares(int to, const Message& m);
-  // Emits one kSvssBatchShares direct message per recipient and closes the
-  // window.
-  void close_window(Context& ctx);
+  // Packs one kSvssBatchShares direct envelope per recipient and hands
+  // each to `emit`.
+  void flush_dealing(EnvelopeEmit emit);
 
   // Collects one sibling session's kSvssGset payload; once all n are in,
   // returns the combined kSvssBatchGset broadcast for the caller to RB.
@@ -77,16 +74,14 @@ class BatchedSvssTransport {
   // and hands each to `sink`.  Malformed envelopes are dropped whole; the
   // sub-messages re-enter the exact validation the unbatched path applies.
   static void unpack(Context& ctx, int n, int t, int sender, const Message& m,
-                     bool via_rb, const SubMessageSink& sink);
+                     bool via_rb, UnpackSink sink);
 
  private:
   int self_;
   int n_;
-  int t_;
 
-  bool window_open_ = false;
-  std::uint32_t window_instance_ = 0;
-  std::uint32_t window_round_ = 0;
+  std::uint32_t dealing_instance_ = 0;
+  std::uint32_t dealing_round_ = 0;
   std::vector<FieldVec> pending_vals_;  // [recipient] concatenated shares
   std::vector<int> pending_count_;      // [recipient] sessions captured
 

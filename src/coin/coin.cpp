@@ -30,7 +30,7 @@ CoinSession::CoinSession(CoinHost& host, std::uint32_t round, int self, int n,
 void CoinSession::start(Context& ctx) {
   if (started_) return;
   started_ = true;
-  // The window lets a batching host coalesce the n sessions' dealer-share
+  // The bracket lets a batching host coalesce the n sessions' dealer-share
   // messages into one envelope per recipient.  The sessions themselves run
   // the unmodified dealing code — same RNG consumption, same values — so
   // batched and unbatched runs deal identical polynomials per seed.

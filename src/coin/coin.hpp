@@ -49,10 +49,10 @@ class CoinHost {
   virtual SvssSession& svss_child(Context& ctx, const SessionId& sid) = 0;
   virtual void coin_output(Context& ctx, std::uint32_t instance,
                            std::uint32_t round, int bit) = 0;
-  // Batched-dealing capture window (src/coin/batched_transport.hpp):
+  // Batched-dealing bracket (src/coin/batched_transport.hpp):
   // CoinSession::start brackets its dealing loop so a batching host can
-  // coalesce the n sessions' share messages.  Hosts without a batched
-  // transport ignore it.
+  // coalesce the n sessions' share messages and send them when the loop
+  // ends.  Hosts without batched dealing ignore it.
   virtual void svss_batch_window(Context& ctx, std::uint32_t instance,
                                  std::uint32_t round, bool open) {
     (void)ctx;

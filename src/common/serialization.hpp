@@ -89,6 +89,12 @@ class Reader {
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
 
  private:
+  // A vector's element count, or nullopt when it exceeds max_len or the
+  // 4-byte elements it claims are not all present.
+  std::optional<std::uint32_t> vec_len(std::size_t max_len);
+  // Unchecked little-endian load; callers bounds-check first.
+  std::uint32_t load_u32();
+
   const Bytes& buf_;
   std::size_t pos_ = 0;
 };

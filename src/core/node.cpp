@@ -16,74 +16,26 @@ Node::Node(int self, int n, int t, bool batched_coin, bool batched_mw,
           [this](Context& ctx, int from, const Message& m, bool via_rb) {
             route_app(ctx, from, m, via_rb);
           },
-      }) {
-  if (batched_coin) {
-    batch_ = std::make_unique<BatchedSvssTransport>(self, n, t);
-  }
-  if (batched_mw) {
-    mw_batch_ = std::make_unique<MwGroupTransport>(self, n, t);
-  }
-  if (batched_votes) {
-    vote_batch_ = std::make_unique<AbaVoteBatcher>(self, n);
-  }
-}
+      }),
+      coalescer_(rbc_, self, n, batched_coin, batched_mw, batched_votes) {}
 
-// The MW capture window brackets whole delivery cascades: everything a
-// delivery (or the start action) makes the sessions emit is coalesced and
-// flushed before control returns to the engine, so batching is pure
-// framing — no message ever survives a cascade uncaptured or unsent.
-bool Node::open_mw_window() {
-  if (!mw_batch_ || mw_batch_->window_open()) return false;
-  mw_batch_->open_window();
-  return true;
-}
-
-void Node::close_mw_window(Context& ctx) {
-  if (mw_batch_->close_window_if_empty()) return;
-  mw_batch_->close_window(
-      ctx, MwGroupTransport::EmitFns{
-               [this](Context& c, const Message& m) { rbc_.broadcast(c, m); },
-               [](Context& c, int to, Message m) {
-                 c.send(to, make_direct(std::move(m)));
-               },
-           });
-}
-
-bool Node::open_vote_window() {
-  if (!vote_batch_ || vote_batch_->window_open()) return false;
-  vote_batch_->open_window();
-  return true;
-}
-
-void Node::close_vote_window(Context& ctx) {
-  if (vote_batch_->close_window_if_empty()) return;
-  vote_batch_->close_window(
-      ctx, AbaVoteBatcher::EmitFns{
-               [this](Context& c, const Message& m) { rbc_.broadcast(c, m); },
-               [](Context& c, int to, Message m) {
-                 c.send(to, make_direct(std::move(m)));
-               },
-           });
-}
-
+// Every delivery cascade runs inside the coalescer's capture window:
+// everything a delivery (or the start action) makes the sessions emit is
+// coalesced and flushed before control returns to the engine.
 void Node::start(Context& ctx) {
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
-  if (start_action_) start_action_(ctx, *this);
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  coalescer_.cascade(ctx, [&] {
+    if (start_action_) start_action_(ctx, *this);
+  });
 }
 
 void Node::on_packet(Context& ctx, int from, const Packet& p) {
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
-  if (p.is_rb) {
-    rbc_.on_transport(ctx, from, p);
-  } else {
-    route_app(ctx, from, p.app, /*via_rb=*/false);
-  }
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  coalescer_.cascade(ctx, [&] {
+    if (p.is_rb) {
+      rbc_.on_transport(ctx, from, p);
+    } else {
+      route_app(ctx, from, p.app, /*via_rb=*/false);
+    }
+  });
 }
 
 bool Node::sane_sid(const SessionId& sid) const {
@@ -116,68 +68,36 @@ bool Node::sane_sid(const SessionId& sid) const {
 void Node::route_app(Context& ctx, int sender, const Message& m,
                      bool via_rb) {
   if (!sane_sid(m.sid)) return;
+  if (Coalescer::is_envelope(m.type)) {
+    // Batch envelope: split into the per-session messages, each of which
+    // re-enters this routing (DMM filter, recon rules and vote validation
+    // included).  Understood unconditionally, so batched and unbatched
+    // peers interoperate.
+    Coalescer::unpack(ctx, n_, t_, sender, m, via_rb,
+                      [this](Context& c, int s, const Message& sub, bool rb) {
+                        route_app(c, s, sub, rb);
+                      });
+    return;
+  }
   switch (m.sid.path) {
     case SessionPath::kMwTop:
     case SessionPath::kMwInSvssTop:
-    case SessionPath::kMwInSvssCoin: {
-      if (MwGroupTransport::is_batch_type(m.type)) {
-        // Group envelope: split into the per-session messages and run each
-        // through the normal per-session path (DMM filter and recon rules
-        // included).  Understood unconditionally, so batched and unbatched
-        // peers interoperate.
-        MwGroupTransport::unpack(
-            ctx, n_, t_, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              deliver_mw(c, s, sub, rb);
-            });
-        return;
-      }
+    case SessionPath::kMwInSvssCoin:
       // Envelope sid space carrying a non-envelope type: no session lives
       // at variants 2-3.
       if (m.sid.variant > 1) return;
       deliver_mw(ctx, sender, m, via_rb);
       return;
-    }
     case SessionPath::kSvssTop:
-    case SessionPath::kSvssCoin: {
-      if (BatchedSvssTransport::is_batch_type(m.type)) {
-        // Shared-transport envelope: split into the per-session messages
-        // and run each through the normal per-session path (DMM filter
-        // included).  Understood unconditionally, so batched and
-        // unbatched peers interoperate.
-        BatchedSvssTransport::unpack(
-            ctx, n_, t_, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              deliver_svss(c, s, sub, rb);
-            });
-        return;
-      }
+    case SessionPath::kSvssCoin:
       deliver_svss(ctx, sender, m, via_rb);
       return;
-    }
     case SessionPath::kCoin:
       if (via_rb && m.sid.counter <= kMaxN * kMaxN) {
         coin(ctx, m.sid.instance, m.sid.counter).on_broadcast(ctx, sender, m);
       }
       return;
     case SessionPath::kAba: {
-      if (AbaVoteBatcher::is_batch_type(m.type)) {
-        // Cross-instance vote envelope: split into the per-session votes
-        // and run each through the normal per-instance path (AbaSession
-        // re-applies the full vote validation).  Understood
-        // unconditionally, so batched and unbatched peers interoperate.
-        AbaVoteBatcher::unpack(
-            ctx, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              AbaSession& session = aba_instance(sub.sid.instance);
-              if (rb) {
-                session.on_broadcast(c, s, sub);
-              } else {
-                session.on_direct(c, s, sub);
-              }
-            });
-        return;
-      }
       // Variant 4 is the vote-envelope sid space; no session lives there.
       if (m.sid.variant >= 4) return;
       // variant 0 = the SVSS-coin agreement protocol; variant 1 = the
@@ -301,14 +221,10 @@ void Node::start_aba(Context& ctx, int input, CoinMode mode,
                      std::uint64_t common_seed, std::uint32_t instance) {
   aba_mode_ = mode;
   aba_seed_ = common_seed;
-  // Bracket with the capture windows so out-of-cascade submissions (a
-  // daemon's submit() between polls) still get batched framing; inside a
-  // delivery cascade the windows are already open and these are no-ops.
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
-  aba_instance(instance).start(ctx, input);
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  // A cascade of its own so out-of-cascade submissions (a daemon's
+  // submit() between polls) still get batched framing; inside a delivery
+  // cascade this runs in the already-open window.
+  coalescer_.cascade(ctx, [&] { aba_instance(instance).start(ctx, input); });
 }
 
 AbaSession& Node::aba_instance(std::uint32_t instance) {
@@ -440,51 +356,21 @@ const CoinSession* Node::find_coin(std::uint32_t instance,
 // Host plumbing
 // ---------------------------------------------------------------------
 void Node::rb_broadcast(Context& ctx, const Message& m) {
-  if (vote_batch_ && vote_batch_->window_open() &&
-      vote_batch_->capture_broadcast(m)) {
-    // Coalesced into the cascade's kAbaBatchConf envelope; flushed when
-    // the vote window closes.
-    return;
-  }
-  if (mw_batch_ && mw_batch_->window_open() &&
-      mw_batch_->capture_broadcast(m)) {
-    // Coalesced into the group's kMwBatch* envelope; flushed when the
-    // current delivery cascade's window closes.
-    return;
-  }
-  if (batch_ && m.type == MsgType::kSvssGset &&
-      m.sid.path == SessionPath::kSvssCoin && m.sid.owner == self_) {
-    // Batch the n sibling sessions' G-sets into one RBC instance: the
-    // shared echo/ready rounds replace n per-session ones.  The combined
-    // broadcast goes out when the last sibling produced its set.
-    if (auto batched = batch_->capture_gset(m)) {
-      rbc_.broadcast(ctx, *batched);
-    }
-    return;
-  }
-  rbc_.broadcast(ctx, m);
+  if (!coalescer_.capture_broadcast(ctx, m)) rbc_.broadcast(ctx, m);
 }
 
 void Node::send_direct(Context& ctx, int to, Message m) {
-  if (vote_batch_ && vote_batch_->window_open() &&
-      vote_batch_->capture_direct(to, m)) {
-    return;
+  if (!coalescer_.capture_direct(to, m)) {
+    ctx.send(to, make_direct(std::move(m)));
   }
-  if (mw_batch_ && mw_batch_->window_open() &&
-      mw_batch_->capture_direct(to, m)) {
-    return;
-  }
-  if (batch_ && batch_->capture_dealer_shares(to, m)) return;
-  ctx.send(to, make_direct(std::move(m)));
 }
 
 void Node::svss_batch_window(Context& ctx, std::uint32_t instance,
                              std::uint32_t round, bool open) {
-  if (!batch_) return;
   if (open) {
-    batch_->open_window(instance, round);
+    coalescer_.begin_dealing(instance, round);
   } else {
-    batch_->close_window(ctx);
+    coalescer_.end_dealing(ctx);
   }
 }
 

@@ -23,15 +23,13 @@
 
 #include "aba/aba.hpp"
 #include "aba/local_coin_aba.hpp"
-#include "aba/vote_batch.hpp"
 #include "aba/multivalued.hpp"
 #include "acs/acs.hpp"
 #include "asmpc/secure_sum.hpp"
-#include "coin/batched_transport.hpp"
 #include "coin/coin.hpp"
 #include "common/flat_map.hpp"
+#include "core/coalescer.hpp"
 #include "dmm/dmm.hpp"
-#include "mwsvss/group_transport.hpp"
 #include "mwsvss/mwsvss.hpp"
 #include "rbc/rbc.hpp"
 #include "sim/engine.hpp"
@@ -65,14 +63,13 @@ class Node : public IProcess,
              public SecureSumHost,
              public MvbaHost {
  public:
-  // `batched_coin` multiplexes the n coin-owned SVSS sessions per round
-  // over the shared transport envelopes (src/coin/batched_transport.hpp);
-  // `batched_mw` coalesces the coin-nested MW-SVSS child traffic under
-  // group envelopes (src/mwsvss/group_transport.hpp); `batched_votes`
-  // coalesces agreement votes across concurrent instances and rounds
-  // (src/aba/vote_batch.hpp).  Inbound envelopes are always understood,
-  // so batched and unbatched nodes interoperate; the flags only select
-  // this node's *own* outbound framing.
+  // The flags select this node's *own* outbound framing per coalescing
+  // layer (core/coalescer.hpp): `batched_coin` multiplexes the n coin-owned
+  // SVSS sessions per round, `batched_mw` coalesces the coin-nested MW-SVSS
+  // child traffic under group envelopes, and `batched_votes` coalesces
+  // agreement votes across concurrent instances and rounds.  Inbound
+  // envelopes are always understood, so batched and unbatched nodes
+  // interoperate.
   Node(int self, int n, int t, bool batched_coin = true,
        bool batched_mw = true, bool batched_votes = true);
 
@@ -169,15 +166,6 @@ class Node : public IProcess,
   // the per-session state machine.  Sub-messages of unpacked kMwBatch*
   // envelopes take exactly this path, so batching never skips a rule.
   void deliver_mw(Context& ctx, int sender, const Message& m, bool via_rb);
-  // Bracket one delivery cascade with the MW group-capture window (plain
-  // open/close calls, not a callable wrapper — this is the per-delivery
-  // hot path).  open returns true iff this call opened the window, i.e.
-  // the caller owns the matching close.
-  bool open_mw_window();
-  void close_mw_window(Context& ctx);
-  // Same bracketing for the cross-instance agreement-vote batcher.
-  bool open_vote_window();
-  void close_vote_window(Context& ctx);
   // Get-or-create the state machine held by an MW / SVSS session record.
   template <typename Machine>
   Machine& machine(Dmm::Session& rec);
@@ -191,12 +179,9 @@ class Node : public IProcess,
   // Also the MW-SVSS/SVSS session table: each session's state machine sits
   // in its DMM record, so routing probes one interned table per message.
   Dmm dmm_;
-  // Present iff this node deals its coin rounds batched.
-  std::unique_ptr<BatchedSvssTransport> batch_;
-  // Present iff this node coalesces its coin-nested MW child traffic.
-  std::unique_ptr<MwGroupTransport> mw_batch_;
-  // Present iff this node coalesces agreement votes across instances.
-  std::unique_ptr<AbaVoteBatcher> vote_batch_;
+  // Captures outbound per-session traffic into batch envelopes and
+  // decides when they leave; brackets every delivery cascade.
+  Coalescer coalescer_;
   // Keyed by (instance << 32) | round.
   std::unordered_map<std::uint64_t, std::unique_ptr<CoinSession>> coins_;
   // Agreement instances by id: one probe per vote on the hot path.

@@ -40,25 +40,6 @@ RunnerConfig validate(RunnerConfig cfg) {
         "Runner: n < 3t+1 breaks the paper's resilience bound; set "
         "allow_sub_resilience to experiment beyond it");
   }
-  // Merge the deprecated framing aliases into TransportOptions: a
-  // non-default alias value wins (old configs keep their meaning), then
-  // the aliases are re-derived so both views agree for the whole run.
-  if (!cfg.batched_coin_dealing) {
-    cfg.transport.coin_dealing = Framing::kPerSession;
-  }
-  if (!cfg.batched_mw_children) {
-    cfg.transport.mw_children = Framing::kPerSession;
-  }
-  for (const auto& [slot, batched] : cfg.mw_batch_override) {
-    cfg.transport.mw_children_override[slot] =
-        batched ? Framing::kBatched : Framing::kPerSession;
-  }
-  cfg.batched_coin_dealing = cfg.transport.batched_coin();
-  cfg.batched_mw_children = cfg.transport.mw_children == Framing::kBatched;
-  cfg.mw_batch_override.clear();
-  for (const auto& [slot, framing] : cfg.transport.mw_children_override) {
-    cfg.mw_batch_override[slot] = framing == Framing::kBatched;
-  }
   if (cfg.transport.kind == TransportKind::kSocketLoopback &&
       !cfg.adversaries.empty()) {
     throw std::invalid_argument(

@@ -70,14 +70,6 @@ struct RunnerConfig {
   // hook, and `adversaries` are rejected — strategies need scheduler-side
   // determinism the socket backend cannot give.
   TransportOptions transport;
-  // --- deprecated aliases -------------------------------------------
-  // Pre-seam names for the framing knobs, kept so existing configs
-  // compile.  A non-default value here overrides the corresponding
-  // `transport` field at validation; after validation both views agree.
-  // New code should set `transport` directly.
-  bool batched_coin_dealing = true;
-  bool batched_mw_children = true;
-  std::map<int, bool> mw_batch_override;
 };
 
 // Canonical session ids for top-level invocations.

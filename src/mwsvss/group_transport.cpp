@@ -7,7 +7,7 @@ namespace svss {
 
 namespace {
 
-// Wire layout notes (see README "Group-coalesced MW transport"):
+// Wire layout notes (see README "Cascade coalescer"):
 //  kMwBatchDirect    ints = (type, j, len) triples; vals = concatenation.
 //  kMwBatchAck/Ok    ints = attachee list.
 //  kMwBatchLset/Mset ints = (j, len, members...) runs.
@@ -21,22 +21,7 @@ bool valid_attachee(const SessionId& sid, int n) {
 
 }  // namespace
 
-MwGroupTransport::MwGroupTransport(int self, int n, int t)
-    : self_(self), n_(n), t_(t) {}
-
-bool MwGroupTransport::is_batch_type(MsgType type) {
-  switch (type) {
-    case MsgType::kMwBatchDirect:
-    case MsgType::kMwBatchAck:
-    case MsgType::kMwBatchLset:
-    case MsgType::kMwBatchMset:
-    case MsgType::kMwBatchOk:
-    case MsgType::kMwBatchReconVal:
-      return true;
-    default:
-      return false;
-  }
-}
+MwGroupTransport::MwGroupTransport(int n) : n_(n) {}
 
 bool MwGroupTransport::is_batchable_broadcast(MsgType type) {
   switch (type) {
@@ -92,10 +77,6 @@ int MwGroupTransport::rb_slot(MsgType type) {
 // ---------------------------------------------------------------------
 // Sender side
 // ---------------------------------------------------------------------
-void MwGroupTransport::open_window() {
-  window_open_ = true;
-}
-
 MwGroupTransport::PendingGroup& MwGroupTransport::group_for(
     const SessionId& child) {
   SessionId gsid = group_sid(child);
@@ -115,11 +96,13 @@ MwGroupTransport::PendingGroup& MwGroupTransport::group_for(
 }
 
 bool MwGroupTransport::capture_broadcast(const Message& m) {
-  if (!window_open_ || m.sid.path != SessionPath::kMwInSvssCoin ||
-      m.sid.variant > 1 || !is_batchable_broadcast(m.type) ||
-      !valid_attachee(m.sid, n_)) {
+  if (m.sid.path != SessionPath::kMwInSvssCoin || m.sid.variant > 1 ||
+      !is_batchable_broadcast(m.type) || !valid_attachee(m.sid, n_)) {
     return false;
   }
+  // Only single-value recon broadcasts have the shape the envelope
+  // re-frames; check before a group is opened for the message.
+  if (m.type == MsgType::kMwReconVal && m.vals.size() != 1) return false;
   PendingGroup& g = group_for(m.sid);
   int j = static_cast<int>(m.sid.counter % kMaxN);
   switch (m.type) {
@@ -136,7 +119,6 @@ bool MwGroupTransport::capture_broadcast(const Message& m) {
       g.msets.emplace_back(j, m.ints);
       break;
     case MsgType::kMwReconVal:
-      if (m.vals.size() != 1) return false;  // not the shape we re-frame
       g.recons.push_back(PendingGroup::Recon{j, m.a, m.vals[0]});
       break;
     default:
@@ -146,7 +128,7 @@ bool MwGroupTransport::capture_broadcast(const Message& m) {
 }
 
 bool MwGroupTransport::capture_direct(int to, const Message& m) {
-  if (!window_open_ || m.sid.path != SessionPath::kMwInSvssCoin ||
+  if (m.sid.path != SessionPath::kMwInSvssCoin ||
       m.sid.variant > 1 || !is_batchable_direct(m.type) ||
       !valid_attachee(m.sid, n_) || to < 0 || to >= n_) {
     return false;
@@ -165,15 +147,7 @@ bool MwGroupTransport::capture_direct(int to, const Message& m) {
   return true;
 }
 
-bool MwGroupTransport::close_window_if_empty() {
-  if (!window_open_ || !pending_.empty()) return false;
-  window_open_ = false;
-  return true;
-}
-
-void MwGroupTransport::close_window(Context& ctx, const EmitFns& emit) {
-  if (!window_open_) return;
-  window_open_ = false;
+void MwGroupTransport::flush(EnvelopeEmit emit) {
   for (PendingGroup& g : pending_) {
     // Direct envelopes first (recipients ascending), then the RB types in
     // fixed order — a deterministic emission schedule is part of the
@@ -186,7 +160,7 @@ void MwGroupTransport::close_window(Context& ctx, const EmitFns& emit) {
       m.type = MsgType::kMwBatchDirect;
       m.ints = std::move(g.direct_ints[slot]);
       m.vals = std::move(g.direct_vals[slot]);
-      emit.send(ctx, to, std::move(m));
+      emit(to, std::move(m));
     }
     auto& seq = flush_seq_[g.handle - 1];
     pending_index_[g.handle - 1] = 0;
@@ -194,7 +168,7 @@ void MwGroupTransport::close_window(Context& ctx, const EmitFns& emit) {
       m.sid = g.gsid;
       m.type = type;
       m.a = seq[slot]++;
-      emit.broadcast(ctx, m);
+      emit(kBroadcastEnvelope, std::move(m));
     };
     // Attachee-list envelopes (ack, OK): ints is the attachee list.
     auto flush_list = [&](MsgType type, RbSlot slot,
@@ -240,8 +214,7 @@ void MwGroupTransport::close_window(Context& ctx, const EmitFns& emit) {
 // Fault-injection views
 // ---------------------------------------------------------------------
 void MwGroupTransport::for_each_direct_entry(
-    const Message& m,
-    const std::function<void(MsgType, int, std::size_t, int)>& fn) {
+    const Message& m, FunctionRef<void(MsgType, int, std::size_t, int)> fn) {
   if (m.type != MsgType::kMwBatchDirect) return;
   std::size_t cursor = 0;
   for (std::size_t i = 0; i + 2 < m.ints.size(); i += 3) {
@@ -262,10 +235,9 @@ int* MwGroupTransport::first_run_member(Message& m) {
 // ---------------------------------------------------------------------
 // Receiver side
 // ---------------------------------------------------------------------
-void MwGroupTransport::unpack(Context& ctx, int n, int t, int sender,
+void MwGroupTransport::unpack(Context& ctx, int n, int sender,
                               const Message& m, bool via_rb,
-                              const SubMessageSink& sink) {
-  (void)t;
+                              UnpackSink sink) {
   // Envelope sid shape: a coin-nested group (variant 2|3) anchored at the
   // attachee-0 counter slot.  Role pids were vetted by the caller's
   // sane_sid; the sub-sessions re-enter full per-session validation.

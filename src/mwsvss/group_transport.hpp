@@ -8,10 +8,10 @@
 // L-set, M-set, OK, and recon-value broadcast per session, plus one wire
 // message per direct send — ~97% of all full-stack packets at n >= 7.
 //
-// This transport coalesces that traffic the way the PR-4 coin batcher
-// coalesces dealing (src/coin/batched_transport.hpp): a capture window
-// brackets one delivery cascade, collects the per-session messages the
-// sessions hand to their host, and flushes them at window close as
+// This layer coalesces that traffic the way the coin batcher coalesces
+// dealing (src/coin/batched_transport.hpp): the node's cascade coalescer
+// (core/coalescer.hpp) hands it the per-session messages captured during
+// one delivery cascade, and it packs them at cascade close as
 //
 //  * kMwBatchDirect (direct): all captured kMwDealerShares / kMwDealerPoly
 //    / kMwDealerWhole / kMwEchoVal / kMwMonitorVal messages of one
@@ -40,7 +40,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -51,21 +50,14 @@ namespace svss {
 
 class MwGroupTransport {
  public:
-  // Sink receiving the per-session messages of an unpacked envelope.
-  using SubMessageSink =
-      std::function<void(Context&, int sender, const Message&, bool via_rb)>;
-  // Emission hooks used at window close: `broadcast` RBs a batch envelope,
-  // `send` delivers a direct envelope to one recipient.
-  struct EmitFns {
-    std::function<void(Context&, const Message&)> broadcast;
-    std::function<void(Context&, int to, Message)> send;
-  };
+  explicit MwGroupTransport(int n);
 
-  MwGroupTransport(int self, int n, int t);
-
-  // True for envelope types this transport owns.
-  static bool is_batch_type(MsgType type);
-  // True for per-session types the transport captures (RB / direct class).
+  // True for envelope types this layer owns (MsgType 11-16).
+  static bool is_batch_type(MsgType type) {
+    return type >= MsgType::kMwBatchDirect &&
+           type <= MsgType::kMwBatchReconVal;
+  }
+  // True for per-session types the layer captures (RB / direct class).
   static bool is_batchable_broadcast(MsgType type);
   static bool is_batchable_direct(MsgType type);
   // The envelope sid of the group a coin-nested child session belongs to:
@@ -75,22 +67,14 @@ class MwGroupTransport {
   static SessionId child_sid(const SessionId& group, int j);
 
   // --- sender side -------------------------------------------------
-  // The window brackets one delivery cascade (core::Node opens it around
-  // on_packet/start and closes it before returning to the engine).
-  void open_window();
-  [[nodiscard]] bool window_open() const { return window_open_; }
-  // Collects one per-session message while the window is open; returns
-  // false (caller sends normally) for foreign sessions or non-batchable
-  // types.  Only kMwInSvssCoin children with a valid attachee are grouped.
+  // Collects one per-session message; returns false (caller sends
+  // normally) for foreign sessions or non-batchable types.  Only
+  // kMwInSvssCoin children with a valid attachee are grouped.
   bool capture_broadcast(const Message& m);
   bool capture_direct(int to, const Message& m);
-  // Closes a window that captured nothing, skipping the emit plumbing —
-  // the common case for cascades of non-MW traffic.  Returns false (and
-  // leaves the window open) when there are captures to flush.
-  bool close_window_if_empty();
-  // Emits the captured envelopes (groups in capture order, recipients
-  // ascending, RB types in fixed order) and closes the window.
-  void close_window(Context& ctx, const EmitFns& emit);
+  // Packs the captured envelopes (groups in capture order, recipients
+  // ascending, RB types in fixed order) and hands each to `emit`.
+  void flush(EnvelopeEmit emit);
 
   // --- fault-injection views ---------------------------------------
   // Wire-layout accessors for Byzantine interceptors, so layout knowledge
@@ -99,8 +83,7 @@ class MwGroupTransport {
   // Calls fn(sub_type, attachee, val_offset, val_count) for every
   // well-formed (type, j, len) triple of a kMwBatchDirect envelope.
   static void for_each_direct_entry(
-      const Message& m,
-      const std::function<void(MsgType, int, std::size_t, int)>& fn);
+      const Message& m, FunctionRef<void(MsgType, int, std::size_t, int)> fn);
   // The first member of the first (j, len, members...) run of a
   // kMwBatchLset/kMwBatchMset envelope, or nullptr.
   static int* first_run_member(Message& m);
@@ -112,8 +95,8 @@ class MwGroupTransport {
   // attachee or pid — is dropped whole, mirroring RBC's treatment of
   // garbage; the sub-messages then re-enter the exact validation the
   // unbatched path applies.
-  static void unpack(Context& ctx, int n, int t, int sender, const Message& m,
-                     bool via_rb, const SubMessageSink& sink);
+  static void unpack(Context& ctx, int n, int sender, const Message& m,
+                     bool via_rb, UnpackSink sink);
 
  private:
   // Index into PendingGroup's per-RB-type arrays and flush counters.
@@ -140,18 +123,15 @@ class MwGroupTransport {
 
   PendingGroup& group_for(const SessionId& child);
 
-  int self_;
   int n_;
-  int t_;
 
-  bool window_open_ = false;
   std::vector<PendingGroup> pending_;  // capture order (determinism)
   // Group sid -> dense 1-based handle, interned at the group's first
   // capture.  Indexed by handle - 1: 1 + the group's index in pending_ (0
-  // while it has no captures in the open window), and flush_seq_ below.
+  // while it has no captures awaiting flush), and flush_seq_ below.
   FlatMap<SessionId, std::uint32_t, SessionIdHash> groups_;
   std::vector<std::uint32_t> pending_index_;
-  // Per (group, RB type) flush sequence, persisted across windows: each
+  // Per (group, RB type) flush sequence, persisted across cascades: each
   // flush is its own RBC instance (BcastId.a), so a straggler flush never
   // collides with — or equivocates against — an earlier one.  Entries are
   // deliberately never evicted: in the async model there is no local

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "common/rng.hpp"
 #include "net/transport.hpp"
 #include "sim/message.hpp"
@@ -123,6 +124,17 @@ class IProcess {
   virtual void start(Context& ctx) = 0;
   virtual void on_packet(Context& ctx, int from, const Packet& p) = 0;
 };
+
+// Batch-envelope plumbing shared by the layers that coalesce traffic
+// (coin/batched_transport, mwsvss/group_transport, aba/vote_batch) and the
+// seam that drives them (core/coalescer.hpp).  A layer hands each envelope
+// it packs to an EnvelopeEmit — `to` is the recipient of a direct envelope,
+// or kBroadcastEnvelope for one that goes out by reliable broadcast — and
+// hands each sub-message of an envelope it unpacks to an UnpackSink.
+inline constexpr int kBroadcastEnvelope = -1;
+using EnvelopeEmit = FunctionRef<void(int to, Message&& envelope)>;
+using UnpackSink =
+    FunctionRef<void(Context& ctx, int sender, const Message& m, bool via_rb)>;
 
 // ----------------------------------------------------------------------
 // Engine

@@ -73,6 +73,12 @@ struct SessionId {
 // The enclosing session, or nullopt for top-level sessions.
 std::optional<SessionId> parent_session(const SessionId& sid);
 
+// The one SessionId wire codec, shared by Message::serialize and the
+// socket frame codec (net/frame.cpp): 26 bytes, int16 fields as i32.
+// read_sid returns nullopt on truncation or an unknown path.
+void write_sid(Writer& w, const SessionId& sid);
+std::optional<SessionId> read_sid(Reader& r);
+
 // Message types across all layers.  One flat enum keeps serialization and
 // logging trivial; each protocol only consumes its own values.
 enum class MsgType : std::uint8_t {

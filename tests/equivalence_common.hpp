@@ -46,7 +46,8 @@
 namespace svss::equivalence {
 
 // A named framing variant: a mutation applied on top of the cell's base
-// config (toggling batched_coin_dealing / batched_mw_children / overrides).
+// config (toggling transport.coin_dealing / transport.mw_children /
+// transport.mw_children_override).
 struct Variant {
   const char* name;
   std::function<void(RunnerConfig&)> apply;

@@ -2,7 +2,7 @@
 // node/transport stack (SessionId::instance + cross-instance vote
 // batching, src/aba/vote_batch.hpp).
 //
-// Three properties pinned here:
+// Four properties pinned here:
 //
 //  1. Per-instance correctness under concurrency — k instances driven
 //     through Runner::submit/run_submitted each satisfy agreement and
@@ -18,11 +18,16 @@
 //  3. Backend equivalence — the socket-loopback backend reaches the same
 //     per-instance decisions as the simulator for the same submission
 //     set, riding the batched envelopes over real TCP untranslated.
+//  4. Cascade framing is stable — a golden trace pins SVSS-coin runs whose
+//     cascades mix vote, MW-SVSS and coin-dealing captures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "core/runner.hpp"
+#include "search/search.hpp"
 
 namespace svss {
 namespace {
@@ -200,6 +205,87 @@ TEST(MultiInstance, NonContiguousIdsDecidingOutOfOrderAllComplete) {
   Runner loopback(cfg);
   submit(loopback);
   check(loopback.run_submitted(CoinMode::kIdealCommon), "socket-loopback");
+}
+
+// Golden trace of cascades that mix every capture kind: k = 2 concurrent
+// SVSS-coin instances with split inputs, all framings batched, so one
+// delivery cascade can carry agreement votes, MW-SVSS group traffic and
+// coin dealing shares at once.  The EventLog fingerprint, each node's
+// decision round per instance, and msgs/bytes per message type are pinned
+// per seed: any change to when or how the coalescer flushes shows up here.
+// Seed 7381 decides before any coin reconstructs; 7383 and 7385 also run
+// G-set envelopes, recon-value envelopes and single-vote fallbacks.
+struct MixedCascadeGolden {
+  std::uint64_t seed;
+  std::uint64_t fingerprint;
+  std::vector<std::uint32_t> rounds;  // instance-major, node-minor
+  const char* traffic;                // "type=msgs/bytes" per type
+};
+
+std::string traffic_digest(const Metrics& m) {
+  std::string out;
+  for (std::size_t i = 0; i < Metrics::kTypeSlots; ++i) {
+    if (m.packets_by_type[i] == 0) continue;
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "%s%s=%llu/%llu", out.empty() ? "" : " ",
+                  msg_type_name(static_cast<MsgType>(i)),
+                  static_cast<unsigned long long>(m.packets_by_type[i]),
+                  static_cast<unsigned long long>(m.bytes_by_type[i]));
+    out += buf;
+  }
+  return out;
+}
+
+TEST(MultiInstance, MixedCascadeGoldenTrace) {
+  const MixedCascadeGolden golden[] = {
+      {7381, 0x3ee097941fc6c3f9ull, {2, 2, 2, 1, 2, 2, 2, 1},
+       "mw-batch-direct=8246/1221434 mw-batch-ack=44436/3910368 "
+       "mw-batch-lset=34332/5218464 mw-batch-mset=7152/1093056 "
+       "mw-batch-ok=5976/525888 svss-batch-shares=72/8568 "
+       "aba-batch-vote=88/7912 aba-batch-conf=228/21888"},
+      {7383, 0x2897f9c1aa20c6fdull, {1, 2, 2, 2, 2, 1, 2, 2},
+       "mw-batch-direct=6863/1039737 mw-batch-ack=38348/3374192 "
+       "mw-batch-lset=27068/4114336 mw-batch-mset=5980/919136 "
+       "mw-batch-ok=5984/526592 mw-batch-recon-val=27360/3290928 "
+       "svss-batch-shares=76/9044 svss-batch-gset=272/115520 "
+       "coin-gset=272/22848 coin-start-recon=204/14688 aba-vote=336/24244 "
+       "aba-batch-vote=68/5916 aba-batch-conf=136/13056"},
+      {7385, 0x747cd882ec84ec25ull, {2, 2, 2, 2, 1, 2, 2, 2},
+       "mw-batch-direct=21945/3301119 mw-batch-ack=121780/10716640 "
+       "mw-batch-lset=99828/15173856 mw-batch-mset=24744/3777408 "
+       "mw-batch-ok=18080/1591040 mw-batch-recon-val=23004/2956896 "
+       "svss-batch-shares=248/29512 svss-batch-gset=468/194208 "
+       "coin-gset=264/22176 coin-start-recon=236/16992 "
+       "aba-vote=2100/152732 aba-batch-vote=72/6328 "
+       "aba-batch-conf=132/12672"},
+  };
+  for (const MixedCascadeGolden& g : golden) {
+    RunnerConfig cfg = base_config(g.seed);
+    cfg.transport.coin_dealing = Framing::kBatched;
+    cfg.transport.mw_children = Framing::kBatched;
+    cfg.transport.aba_votes = Framing::kBatched;
+    Runner r(cfg);
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      std::vector<int> inputs;
+      for (int p = 0; p < kN; ++p) {
+        inputs.push_back((p + static_cast<int>(i)) % 2);
+      }
+      r.submit(i, std::move(inputs));
+    }
+    auto res = r.run_submitted(CoinMode::kSvss);
+    ASSERT_TRUE(res.all_decided) << g.seed;
+    EXPECT_TRUE(res.agreed) << g.seed;
+    std::vector<std::uint32_t> rounds;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      for (int p = 0; p < kN; ++p) {
+        rounds.push_back(r.node(p).aba(i)->decision_round());
+      }
+    }
+    const std::uint64_t fp = search::trace_fingerprint(r.engine().log());
+    EXPECT_EQ(fp, g.fingerprint) << g.seed;
+    EXPECT_EQ(rounds, g.rounds) << g.seed;
+    EXPECT_EQ(traffic_digest(res.metrics), g.traffic) << g.seed;
+  }
 }
 
 TEST(MultiInstance, SubmitValidatesItsArguments) {

@@ -1,16 +1,41 @@
 // Unit tests: byte writer/reader round trips and malformed-input safety,
-// plus the MW group-envelope codec (pack at window close, unpack on
+// plus the MW group-envelope codec (pack at cascade close, unpack on
 // receive) against round trips and adversarially malformed payloads.
 #include "common/serialization.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
 
-#include "mwsvss/group_transport.hpp"
+#include "core/coalescer.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
+
+// Counting global operator new: while armed, records the largest single
+// allocation, so a test can bound what a decoder allocates for its input.
+namespace {
+std::atomic<bool> g_track_allocs{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocs.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_alloc.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so call sites never see a new/free pair to warn about.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace svss {
 namespace {
@@ -90,6 +115,26 @@ TEST(Serialization, LengthBombRejected) {
   EXPECT_FALSE(r3.bytes().has_value());
 }
 
+TEST(Serialization, VectorLengthCheckedBeforeAllocating) {
+  // A 4-byte prefix claiming 1 << 20 elements (within the default cap)
+  // with nothing behind it: both decoders must fail without allocating
+  // more than the input.  Reserving the claimed length first would cost
+  // 4 MB (int) or 8 MB (Fp) per forged prefix.
+  Writer w;
+  w.u32(1u << 20);
+  Bytes buf = std::move(w).take();
+  g_largest_alloc = 0;
+  g_track_allocs = true;
+  Reader r(buf);
+  const bool fields = r.field_vec().has_value();
+  Reader r2(buf);
+  const bool ints = r2.int_vec().has_value();
+  g_track_allocs = false;
+  EXPECT_FALSE(fields);
+  EXPECT_FALSE(ints);
+  EXPECT_LE(g_largest_alloc.load(), buf.size());
+}
+
 TEST(Serialization, NonCanonicalFieldValueRejected) {
   Writer w;
   w.u32(0xFFFFFFFF);  // >= modulus
@@ -118,10 +163,10 @@ TEST(Serialization, SequentialReadsConsumeExactly) {
 }
 
 // ---------------------------------------------------------------------
-// MW group-envelope codec (mwsvss/group_transport): pack at window close
-// must round-trip through unpack, and a malformed envelope — whatever a
-// Byzantine sender frames — must be dropped whole: no crash, no partial
-// delivery, no double delivery.
+// MW group-envelope codec (mwsvss/group_transport, driven through
+// core::Coalescer): pack at cascade close must round-trip through unpack,
+// and a malformed envelope — whatever a Byzantine sender frames — must be
+// dropped whole: no crash, no partial delivery, no double delivery.
 // ---------------------------------------------------------------------
 
 // A coin-nested MW child session id: round 5, attachee j.
@@ -143,10 +188,10 @@ std::vector<Message> unpack_all(const Message& env, bool via_rb,
   Engine e(n, 1, 1, std::make_unique<FifoScheduler>());
   Context ctx(e, 0);
   std::vector<Message> out;
-  MwGroupTransport::unpack(ctx, n, 1, /*sender=*/2, env, via_rb,
-                           [&](Context&, int, const Message& sub, bool) {
-                             out.push_back(sub);
-                           });
+  Coalescer::unpack(ctx, n, 1, /*sender=*/2, env, via_rb,
+                    [&](Context&, int, const Message& sub, bool) {
+                      out.push_back(sub);
+                    });
   return out;
 }
 
@@ -173,47 +218,60 @@ TEST(MwGroupCodec, GroupAndChildSidsAreInverse) {
 }
 
 TEST(MwGroupCodec, RoundTripReproducesPerSessionMessages) {
-  MwGroupTransport tx(1, 4, 1);
-  tx.open_window();
-
-  for (int j = 0; j < 4; ++j) {
-    Message ack;
-    ack.sid = mw_child(j);
-    ack.type = MsgType::kMwAck;
-    ASSERT_TRUE(tx.capture_broadcast(ack));
-  }
-  Message lset;
-  lset.sid = mw_child(2);
-  lset.type = MsgType::kMwLset;
-  lset.ints = {0, 1, 3};
-  ASSERT_TRUE(tx.capture_broadcast(lset));
-  Message recon;
-  recon.sid = mw_child(1);
-  recon.type = MsgType::kMwReconVal;
-  recon.a = 3;
-  recon.vals = {Fp(77)};
-  ASSERT_TRUE(tx.capture_broadcast(recon));
-  Message echo;
-  echo.sid = mw_child(0);
-  echo.type = MsgType::kMwEchoVal;
-  echo.vals = {Fp(5)};
-  ASSERT_TRUE(tx.capture_direct(2, echo));
-  Message shares;
-  shares.sid = mw_child(3);
-  shares.type = MsgType::kMwDealerShares;
-  shares.vals = {Fp(8), Fp(9), Fp(10), Fp(11)};
-  ASSERT_TRUE(tx.capture_direct(2, shares));
-
+  // Node 1's coalescer runs one cascade; an interceptor on its outbound
+  // channel records what leaves: each RB envelope once (its send-phase
+  // payload, taken from the copy addressed to process 0) and every direct
+  // envelope with its recipient.  Nothing is delivered.
+  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
   std::vector<Message> rb_envs;
   std::vector<std::pair<int, Message>> direct_envs;
-  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
+  e.set_interceptor(1, [&](int, int to, Packet& p) {
+    if (!p.is_rb) {
+      direct_envs.emplace_back(to, p.app);
+    } else if (to == 0) {
+      auto m = Message::deserialize(p.rb_payload());
+      EXPECT_TRUE(m.has_value());
+      if (m) rb_envs.push_back(std::move(*m));
+    }
+    return false;
+  });
+  Rbc rbc([](Context&, int, const Message&) {});
+  Coalescer tx(rbc, /*self=*/1, /*n=*/4, /*batched_coin=*/true,
+               /*batched_mw=*/true, /*batched_votes=*/true);
   Context ctx(e, 1);
-  tx.close_window(
-      ctx, MwGroupTransport::EmitFns{
-               [&](Context&, const Message& m) { rb_envs.push_back(m); },
-               [&](Context&, int to, Message m) {
-                 direct_envs.emplace_back(to, std::move(m));
-               }});
+
+  tx.cascade(ctx, [&] {
+    for (int j = 0; j < 4; ++j) {
+      Message ack;
+      ack.sid = mw_child(j);
+      ack.type = MsgType::kMwAck;
+      ASSERT_TRUE(tx.capture_broadcast(ctx, ack));
+    }
+    Message lset;
+    lset.sid = mw_child(2);
+    lset.type = MsgType::kMwLset;
+    lset.ints = {0, 1, 3};
+    ASSERT_TRUE(tx.capture_broadcast(ctx, lset));
+    Message recon;
+    recon.sid = mw_child(1);
+    recon.type = MsgType::kMwReconVal;
+    recon.a = 3;
+    recon.vals = {Fp(77)};
+    ASSERT_TRUE(tx.capture_broadcast(ctx, recon));
+    Message echo;
+    echo.sid = mw_child(0);
+    echo.type = MsgType::kMwEchoVal;
+    echo.vals = {Fp(5)};
+    ASSERT_TRUE(tx.capture_direct(2, echo));
+    Message shares;
+    shares.sid = mw_child(3);
+    shares.type = MsgType::kMwDealerShares;
+    shares.vals = {Fp(8), Fp(9), Fp(10), Fp(11)};
+    ASSERT_TRUE(tx.capture_direct(2, shares));
+    // Captured traffic waits for the cascade to close.
+    EXPECT_TRUE(rb_envs.empty());
+    EXPECT_TRUE(direct_envs.empty());
+  });
 
   // One direct envelope (both sub-messages went to recipient 2) and one
   // RB envelope per captured type: ack, L-set, recon.
