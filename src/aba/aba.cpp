@@ -59,6 +59,8 @@ AbaSession::RoundSnapshot AbaSession::snapshot(std::uint32_t r) const {
   s.conf_sent = st.conf_sent;
   s.conf_senders = st.conf_from.count();
   s.conf_frozen = st.conf_frozen;
+  s.singletons[0] = static_cast<std::size_t>(st.singleton[0]);
+  s.singletons[1] = static_cast<std::size_t>(st.singleton[1]);
   s.has_coin = st.coin.has_value();
   return s;
 }
@@ -70,18 +72,34 @@ void AbaSession::start(Context& ctx, int input) {
   enter_round(ctx, 1);
 }
 
+void AbaSession::set_coin(CoinMode mode, std::uint64_t common_seed) {
+  if (started_) return;
+  mode_ = mode;
+  common_seed_ = common_seed;
+}
+
+// The SVSS coin is dealt lazily (header): on entry only when a peer
+// already joined this round.
 void AbaSession::enter_round(Context& ctx, std::uint32_t r) {
   round_ = r;
   Round& st = round_state(r);
   send_est(ctx, st, r, est_);
-  if (!st.coin_started) {
-    st.coin_started = true;
-    request_coin(ctx, st, r);
-  }
+  if (mode_ != CoinMode::kSvss || st.peer_joined) request_coin(ctx, st, r);
   progress(ctx);
 }
 
+void AbaSession::on_peer_coin(Context& ctx, std::uint32_t round) {
+  if (round < 1 || round > kMaxRound) return;
+  Round& st = round_state(round);
+  st.peer_joined = true;
+  if (started_ && round <= round_ && mode_ == CoinMode::kSvss) {
+    request_coin(ctx, st, round);
+  }
+}
+
 void AbaSession::request_coin(Context& ctx, Round& st, std::uint32_t r) {
+  if (st.coin_started) return;
+  st.coin_started = true;
   switch (mode_) {
     case CoinMode::kSvss:
       host_.start_coin(ctx, instance_, r);
@@ -218,7 +236,12 @@ void AbaSession::progress(Context& ctx) {
     }
   }
   if (!have_est) {
-    if (!st.coin) return;  // wait for the round's coin
+    if (!st.coin) {
+      // The one place the coin is read, so the lazy SVSS coin starts
+      // here; its output comes back through on_coin.
+      request_coin(ctx, st, r);
+      return;
+    }
     est_ = *st.coin;
   }
   st.advanced = true;

@@ -26,6 +26,29 @@
 // DECIDE(v); t+1 matching announcements let others adopt the decision
 // directly.  Processes keep participating after deciding (the simulation
 // harness stops a run once every nonfaulty process has decided).
+//
+// The SVSS coin is lazy.  Entering a round deals nothing; a process starts
+// dealing the round-r coin (n SVSS sessions, each with its MW-SVSS
+// children) only when
+//   (a) its own round-r CONF sample froze with no value at t+1 singletons
+//       and the coin has not arrived yet, or
+//   (b) a peer's dealer shares for coin r passed its DMM filter
+//       (on_peer_coin) and it has reached round r; a join for a later
+//       round is remembered and honoured on entering that round.
+// Termination: if some honest process needs coin r it deals, so every
+// honest process receives its dealer shares; each of them has passed
+// round r or will reach it, and then deals too.  So at least n-t dealers
+// finish and every honest process outputs the coin.  A coin round that
+// was never dealt locally still reconstructs and outputs from the peers'
+// dealings, and an output that arrives before it is needed is used.
+// Unpredictability: an honest process starts a coin only after it froze
+// its own CONF sample (or was pulled in by a peer for a round it already
+// reached), never on round entry.  A Byzantine dealer can pull honest
+// processes in early only for rounds they have reached, which is no
+// earlier than dealing on round entry would.  Rounds after a decision
+// give every process t+1 singletons, so they never fall through to the
+// coin and cost votes only.  kLocal and kIdealCommon draw their coin on
+// round entry.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +104,15 @@ class AbaSession {
   // Coin outcome for this instance's round `round` (kSvss mode; ignored in
   // other modes).  The host dispatches by instance id.
   void on_coin(Context& ctx, std::uint32_t round, int bit);
+  // A peer dealt its shares of coin round `round` (kSvss mode): join the
+  // dealing now if this process has reached that round, else on entering
+  // it.  Remembered in every mode and before start(), so a join that
+  // arrives before the local session is configured is not lost.
+  void on_peer_coin(Context& ctx, std::uint32_t round);
+  // Sets the coin source; no effect once started.  Lets a host that
+  // created the session for early peer messages apply the coin chosen at
+  // start.
+  void set_coin(CoinMode mode, std::uint64_t common_seed);
 
   [[nodiscard]] std::uint32_t instance() const { return instance_; }
 
@@ -99,6 +131,7 @@ class AbaSession {
     bool conf_sent = false;
     std::size_t conf_senders = 0;
     bool conf_frozen = false;
+    std::size_t singletons[2] = {0, 0};  // frozen sample's CONF == {v}
     bool has_coin = false;
   };
   [[nodiscard]] RoundSnapshot snapshot(std::uint32_t r) const;
@@ -136,7 +169,8 @@ class AbaSession {
     bool conf_frozen = false;
     int singleton[2] = {0, 0};   // frozen tally of CONF == {v}
     std::optional<int> coin;
-    bool coin_started = false;
+    bool coin_started = false;  // coin requested (kSvss: dealing started)
+    bool peer_joined = false;   // a peer dealt this round's SVSS coin
     bool advanced = false;
   };
 
@@ -145,6 +179,8 @@ class AbaSession {
   void decide(Context& ctx, int value);
   // `st` is round r's state.
   void send_est(Context& ctx, Round& st, std::uint32_t r, int v);
+  // Once per round: draws the coin (kLocal, kIdealCommon) or starts
+  // dealing it (kSvss).
   void request_coin(Context& ctx, Round& st, std::uint32_t r);
   Round& round_state(std::uint32_t r);
   [[nodiscard]] bool pid_ok(int pid) const { return pid >= 0 && pid < n_; }

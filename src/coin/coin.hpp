@@ -67,8 +67,11 @@ class CoinSession {
   CoinSession(CoinHost& host, std::uint32_t round, int self, int n, int t,
               std::uint32_t instance = 0);
 
-  // Deals this process's n secrets.  Idempotent; every honest process
-  // calls it when it enters the round.
+  // Deals this process's n secrets.  Idempotent.  The agreement layer
+  // calls it lazily (aba/aba.hpp): when its round's CONF sample falls
+  // through to the coin, or when a peer's dealing reaches a round it has
+  // entered.  A session that never dealt still reconstructs and outputs
+  // from the peers' dealings.
   void start(Context& ctx);
 
   // Pre-filtered coin-layer broadcasts (kCoinGset / kCoinStartRecon).
@@ -80,6 +83,7 @@ class CoinSession {
 
   [[nodiscard]] std::uint32_t round() const { return round_; }
   [[nodiscard]] std::uint32_t instance() const { return instance_; }
+  [[nodiscard]] bool dealt() const { return started_; }
   [[nodiscard]] bool has_output() const { return output_.has_value(); }
   [[nodiscard]] int output() const { return *output_; }
 

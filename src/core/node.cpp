@@ -170,6 +170,14 @@ void Node::deliver_svss(Context& ctx, int sender, const Message& m,
   } else {
     s.on_direct(ctx, sender, m);
   }
+  if (m.type == MsgType::kSvssDealerShares &&
+      m.sid.path == SessionPath::kSvssCoin && sender == m.sid.owner &&
+      sender != self_) {
+    // A peer deals this coin round: join it (the lazy coin, aba/aba.hpp).
+    // The agreement instance may not be started or even configured yet;
+    // it remembers the join either way.
+    aba_instance(m.sid.instance).on_peer_coin(ctx, m.sid.counter / kMaxN);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -224,7 +232,11 @@ void Node::start_aba(Context& ctx, int input, CoinMode mode,
   // A cascade of its own so out-of-cascade submissions (a daemon's
   // submit() between polls) still get batched framing; inside a delivery
   // cascade this runs in the already-open window.
-  coalescer_.cascade(ctx, [&] { aba_instance(instance).start(ctx, input); });
+  coalescer_.cascade(ctx, [&] {
+    AbaSession& session = aba_instance(instance);
+    session.set_coin(mode, common_seed);
+    session.start(ctx, input);
+  });
 }
 
 AbaSession& Node::aba_instance(std::uint32_t instance) {
@@ -308,7 +320,9 @@ void Node::acs_completed(Context& ctx,
 }
 
 void Node::acs_start_aba(Context& ctx, std::uint32_t instance, int input) {
-  aba_instance(instance).start(ctx, input);
+  AbaSession& session = aba_instance(instance);
+  session.set_coin(aba_mode_, aba_seed_);
+  session.start(ctx, input);
 }
 
 AbaSession* Node::aba(std::uint32_t instance) {

@@ -102,6 +102,68 @@ TEST(Aba, SevenProcessesTwoFaults) {
   EXPECT_TRUE(res.agreed);
 }
 
+// --- The lazy SVSS coin (aba/aba.hpp) -----------------------------------
+// Whether process i dealt coin round r of instance 0.
+bool dealt_coin(Runner& r, int i, std::uint32_t round) {
+  const CoinSession* cs = r.node(i).find_coin(0, round);
+  return cs != nullptr && cs->dealt();
+}
+
+// Seed 92 splits round 1: one process's frozen CONF sample falls through
+// to the coin while the other three adopt at t+1 singletons.  The one
+// dealing pulls every other process in, so all of them deal the round-1
+// coin (the lazy coin's termination argument).
+TEST(Aba, OneFallbackPullsEveryProcessIntoTheCoin) {
+  Runner r(cfg(4, 1, 92));
+  auto res = r.run_aba({0, 1, 0, 1}, CoinMode::kSvss);
+  ASSERT_TRUE(res.all_decided);
+  EXPECT_TRUE(res.agreed);
+  int fell_back = 0;
+  for (int i : r.honest_ids()) {
+    AbaSession::RoundSnapshot snap = r.node(i).aba()->snapshot(1);
+    ASSERT_TRUE(snap.conf_frozen) << i;
+    if (snap.singletons[0] < 2 && snap.singletons[1] < 2) ++fell_back;
+  }
+  ASSERT_EQ(fell_back, 1);
+  auto all_dealt = [&r] {
+    for (int i : r.honest_ids()) {
+      if (!dealt_coin(r, i, 1)) return false;
+    }
+    return true;
+  };
+  r.engine().run_until(all_dealt, 5'000'000);
+  for (int i : r.honest_ids()) EXPECT_TRUE(dealt_coin(r, i, 1)) << i;
+}
+
+// Unanimous inputs decide in round 1, and every later round sees t+1
+// singletons, so no process ever deals a coin: rounds after the decision
+// cost votes only.
+TEST(Aba, UnanimousInputsDealNoCoin) {
+  Runner r(cfg(4, 1, 93));
+  auto res = r.run_aba({1, 1, 1, 1}, CoinMode::kSvss);
+  ASSERT_TRUE(res.all_decided);
+  EXPECT_EQ(res.value, 1);
+  // Keep going well past the decision.
+  auto past_round_5 = [&r] {
+    for (int i : r.honest_ids()) {
+      if (r.node(i).aba()->current_round() < 5) return false;
+    }
+    return true;
+  };
+  ASSERT_EQ(r.engine().run_until(past_round_5, 1'000'000),
+            RunStatus::kQuiescent);
+  for (int i : r.honest_ids()) {
+    for (std::uint32_t round = 1; round <= r.node(i).aba()->current_round();
+         ++round) {
+      EXPECT_FALSE(dealt_coin(r, i, round)) << i << " round " << round;
+    }
+  }
+  const Metrics& m = r.engine().metrics();
+  for (MsgType type : {MsgType::kSvssDealerShares, MsgType::kSvssBatchShares}) {
+    EXPECT_EQ(m.packets_by_type[static_cast<std::size_t>(type)], 0u);
+  }
+}
+
 // --- Ideal-coin mode: the SCC abstraction at larger scales -------------
 class AbaIdealSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};

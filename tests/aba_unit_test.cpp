@@ -85,20 +85,21 @@ struct AbaUnit : public ::testing::Test {
   MockAbaHost host;
 };
 
-TEST_F(AbaUnit, StartSendsEstAndRequestsCoin) {
+// The SVSS coin is lazy: entering a round sends EST and deals nothing.
+TEST_F(AbaUnit, StartSendsEstWithoutDealingTheCoin) {
   Context ctx(engine, 0);
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
   s.start(ctx, 1);
   EXPECT_EQ(host.sent_values(0, 1), (std::vector<int>{1}));
-  ASSERT_EQ(host.coin_requests.size(), 1u);
-  EXPECT_EQ(host.coin_requests[0], (std::pair<std::uint32_t, std::uint32_t>{
-                                       0u, 1u}));  // instance 0, round 1
+  EXPECT_TRUE(host.coin_requests.empty());
 }
 
 TEST_F(AbaUnit, InstanceNamespacesCoinRounds) {
   Context ctx(engine, 0);
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0, /*instance=*/3);
   s.start(ctx, 0);
+  EXPECT_TRUE(host.coin_requests.empty());
+  s.on_peer_coin(ctx, 1);
   ASSERT_EQ(host.coin_requests.size(), 1u);
   EXPECT_EQ(host.coin_requests[0],
             (std::pair<std::uint32_t, std::uint32_t>{3u, 1u}));
@@ -213,6 +214,125 @@ TEST_F(AbaUnit, SvssCoinArrivingLateStillAdvances) {
   EXPECT_EQ(s.current_round(), 2u);
 }
 
+// A frozen sample with no t+1 singleton is the one point of need: the
+// round-1 coin is dealt exactly there, once.
+TEST_F(AbaUnit, SvssCoinIsDealtWhenTheSampleFallsThrough) {
+  Context ctx(engine, 0);
+  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
+  drive_to_conf(ctx, s, *this);
+  EXPECT_TRUE(host.coin_requests.empty());  // CONF not frozen yet
+  s.on_broadcast(ctx, 1, vote(1, 2, 2));
+  s.on_broadcast(ctx, 2, vote(1, 2, 3));
+  EXPECT_TRUE(host.coin_requests.empty());
+  s.on_broadcast(ctx, 3, vote(1, 2, 1));  // sample {1}, {0,1}, {0}
+  ASSERT_TRUE(s.snapshot(1).conf_frozen);
+  ASSERT_EQ(host.coin_requests.size(), 1u);
+  EXPECT_EQ(host.coin_requests[0],
+            (std::pair<std::uint32_t, std::uint32_t>{0u, 1u}));
+  // Later votes of the frozen round re-run the tier rule, not the dealing.
+  s.on_direct(ctx, 1, vote(1, 1, 1));
+  s.on_peer_coin(ctx, 1);
+  EXPECT_EQ(host.coin_requests.size(), 1u);
+  s.on_coin(ctx, 1, 1);
+  EXPECT_EQ(s.current_round(), 2u);
+  EXPECT_EQ(host.sent_values(0, 2), (std::vector<int>{1}));
+  EXPECT_EQ(host.coin_requests.size(), 1u);  // round 2 deals nothing
+}
+
+// A round whose sample decides, or adopts at t+1 singletons, never reads
+// the coin and so never deals it.
+TEST_F(AbaUnit, SvssCoinIsNotDealtInADecidingOrAdoptingRound) {
+  Context ctx(engine, 0);
+  AbaSession decider(host, 0, kN, kT, CoinMode::kSvss, 0);
+  drive_to_conf(ctx, decider, *this);
+  for (int from : {1, 2, 3}) decider.on_broadcast(ctx, from, vote(1, 2, 2));
+  ASSERT_TRUE(decider.decided());
+  EXPECT_EQ(decider.current_round(), 2u);
+
+  AbaSession adopter(host, 0, kN, kT, CoinMode::kSvss, 0);
+  drive_to_conf(ctx, adopter, *this);
+  adopter.on_broadcast(ctx, 1, vote(1, 2, 2));
+  adopter.on_broadcast(ctx, 2, vote(1, 2, 2));
+  adopter.on_broadcast(ctx, 3, vote(1, 2, 3));
+  EXPECT_FALSE(adopter.decided());
+  EXPECT_EQ(adopter.current_round(), 2u);
+  EXPECT_EQ(adopter.snapshot(1).singletons[1], 2u);
+  EXPECT_TRUE(host.coin_requests.empty());
+}
+
+// A peer's dealing joins this process at once for a round it has reached
+// (the current one or an earlier one), and on entry for a later round.
+TEST_F(AbaUnit, PeerJoinDealsNowOrOnEnteringTheRound) {
+  Context ctx(engine, 0);
+  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
+  s.start(ctx, 1);
+  s.on_peer_coin(ctx, 2);  // ahead of this process: deferred
+  s.on_peer_coin(ctx, 0);  // out of range: ignored
+  s.on_peer_coin(ctx, kCoinRoundsPerInstance);
+  EXPECT_TRUE(host.coin_requests.empty());
+  s.on_peer_coin(ctx, 1);  // the current round: dealt now
+  ASSERT_EQ(host.coin_requests.size(), 1u);
+  EXPECT_EQ(host.coin_requests[0].second, 1u);
+  s.on_peer_coin(ctx, 1);  // idempotent
+  EXPECT_EQ(host.coin_requests.size(), 1u);
+
+  // Decide in round 1: entering round 2 honours the deferred join.
+  for (int from : {1, 2, 3}) s.on_direct(ctx, from, vote(1, 0, 1));
+  for (int from : {1, 2, 3}) s.on_direct(ctx, from, vote(1, 1, 1));
+  for (int from : {1, 2, 3}) s.on_broadcast(ctx, from, vote(1, 2, 2));
+  ASSERT_EQ(s.current_round(), 2u);
+  ASSERT_EQ(host.coin_requests.size(), 2u);
+  EXPECT_EQ(host.coin_requests[1].second, 2u);
+  // An earlier round this process passed without dealing: dealt now.
+  AbaSession late(host, 0, kN, kT, CoinMode::kSvss, 0);
+  late.start(ctx, 1);
+  for (int from : {1, 2, 3}) late.on_direct(ctx, from, vote(1, 0, 1));
+  for (int from : {1, 2, 3}) late.on_direct(ctx, from, vote(1, 1, 1));
+  for (int from : {1, 2, 3}) late.on_broadcast(ctx, from, vote(1, 2, 2));
+  ASSERT_EQ(late.current_round(), 2u);
+  ASSERT_EQ(host.coin_requests.size(), 2u);
+  late.on_peer_coin(ctx, 1);
+  ASSERT_EQ(host.coin_requests.size(), 3u);
+  EXPECT_EQ(host.coin_requests[2].second, 1u);
+}
+
+// A join that arrives before start() — or before the host applied the
+// coin mode chosen at start — is remembered and honoured on entry.
+TEST_F(AbaUnit, PeerJoinBeforeStartIsHonoured) {
+  Context ctx(engine, 0);
+  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
+  s.on_peer_coin(ctx, 1);
+  EXPECT_TRUE(host.coin_requests.empty());
+  s.start(ctx, 0);
+  ASSERT_EQ(host.coin_requests.size(), 1u);
+  EXPECT_EQ(host.coin_requests[0].second, 1u);
+
+  // Created for an early peer message under another mode; set_coin at
+  // start applies the SVSS coin and the earlier join still counts.
+  AbaSession early(host, 0, kN, kT, CoinMode::kIdealCommon, 0);
+  early.on_peer_coin(ctx, 1);
+  early.set_coin(CoinMode::kSvss, 0);
+  early.start(ctx, 0);
+  ASSERT_EQ(host.coin_requests.size(), 2u);
+  EXPECT_FALSE(early.snapshot(1).has_coin);  // no ideal coin drawn
+  early.set_coin(CoinMode::kIdealCommon, 0);  // no effect once started
+  early.on_coin(ctx, 1, 1);
+  EXPECT_TRUE(early.snapshot(1).has_coin);
+}
+
+// The other coin sources draw on entry as before and ignore peer joins.
+TEST_F(AbaUnit, PeerJoinIgnoredOutsideSvssMode) {
+  Context ctx(engine, 0);
+  for (CoinMode mode : {CoinMode::kLocal, CoinMode::kIdealCommon}) {
+    AbaSession s(host, 0, kN, kT, mode, 7);
+    s.on_peer_coin(ctx, 1);
+    s.start(ctx, 0);
+    s.on_peer_coin(ctx, 1);
+    EXPECT_TRUE(s.snapshot(1).has_coin);
+  }
+  EXPECT_TRUE(host.coin_requests.empty());
+}
+
 TEST_F(AbaUnit, DecideAggregationFromTPlusOneAnnouncements) {
   Context ctx(engine, 0);
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
@@ -253,9 +373,11 @@ namespace ref {
 
 // The round logic as it stood before the flat tallies: per-round vote
 // tallies in std::set/std::map nodes, CONF sets decoded into std::set, a
-// scratch sample vector per progress() call.  The only addition is the
+// scratch sample vector per progress() call.  The additions are the
 // sender/origin range check the flat tallies need before indexing a pid
-// set; every threshold, send and send order is unchanged.
+// set, and the lazy SVSS coin rule (deal on a sample that falls through
+// to the coin, or on a peer's join for a reached round); every threshold,
+// send and send order is otherwise unchanged.
 constexpr std::uint32_t kMaxRound = kCoinRoundsPerInstance - 1;
 
 SessionId aba_sid(std::uint32_t instance) {
@@ -339,6 +461,14 @@ class Session {
     if (started_ && round == round_) progress(ctx);
   }
 
+  void on_peer_coin(Context& ctx, std::uint32_t round) {
+    if (round < 1 || round > kMaxRound) return;
+    rounds_[round].peer_joined = true;
+    if (started_ && round <= round_ && mode_ == CoinMode::kSvss) {
+      request_coin(ctx, round);
+    }
+  }
+
   [[nodiscard]] bool decided() const { return decision_.has_value(); }
   [[nodiscard]] int decision() const { return *decision_; }
   [[nodiscard]] std::uint32_t decision_round() const { return decision_round_; }
@@ -359,6 +489,8 @@ class Session {
     s.conf_sent = st.conf_sent;
     s.conf_senders = st.conf_from.size();
     s.conf_frozen = st.conf_frozen;
+    s.singletons[0] = static_cast<std::size_t>(st.singleton[0]);
+    s.singletons[1] = static_cast<std::size_t>(st.singleton[1]);
     s.has_coin = st.coin.has_value();
     return s;
   }
@@ -377,6 +509,7 @@ class Session {
     int singleton[2] = {0, 0};
     std::optional<int> coin;
     bool coin_started = false;
+    bool peer_joined = false;
     bool advanced = false;
   };
 
@@ -398,15 +531,14 @@ class Session {
     round_ = r;
     Round& st = rounds_[r];
     send_est(ctx, r, est_);
-    if (!st.coin_started) {
-      st.coin_started = true;
-      request_coin(ctx, r);
-    }
+    if (mode_ != CoinMode::kSvss || st.peer_joined) request_coin(ctx, r);
     progress(ctx);
   }
 
   void request_coin(Context& ctx, std::uint32_t r) {
     Round& st = rounds_[r];
+    if (st.coin_started) return;
+    st.coin_started = true;
     switch (mode_) {
       case CoinMode::kSvss:
         host_.start_coin(ctx, instance_, r);
@@ -496,7 +628,10 @@ class Session {
       }
     }
     if (!have_est) {
-      if (!st.coin) return;
+      if (!st.coin) {
+        request_coin(ctx, r);
+        return;
+      }
       est_ = *st.coin;
     }
     st.advanced = true;
@@ -575,16 +710,19 @@ bool same_snapshot(const AbaSession::RoundSnapshot& a,
          a.bin[1] == b.bin[1] && a.aux_sent == b.aux_sent &&
          a.aux_senders == b.aux_senders && a.v_frozen == b.v_frozen &&
          a.conf_sent == b.conf_sent && a.conf_senders == b.conf_senders &&
-         a.conf_frozen == b.conf_frozen && a.has_coin == b.has_coin;
+         a.conf_frozen == b.conf_frozen &&
+         a.singletons[0] == b.singletons[0] &&
+         a.singletons[1] == b.singletons[1] && a.has_coin == b.has_coin;
 }
 
 // ~10k seeded events over 40 episodes of n in {4, 7, 10} and all three
 // coin modes: EST/AUX/CONF/DECIDE across rounds 1-6 with duplicates,
 // conflicting first AUX values and CONF sets, votes for rounds ahead of
 // the session (and for the Byzantine round 4095), late coins, malformed
-// values, and senders at -1, n and kMaxN (which both sides must ignore).
-// After every event the send logs, decisions, rounds and per-round
-// snapshots must match.
+// values, peer coin joins for past, current and future rounds, and
+// senders at -1, n and kMaxN (which both sides must ignore).  After every
+// event the send logs (coin dealings included), decisions, rounds and
+// per-round snapshots must match.
 TEST(AbaDifferential, FlatTalliesMatchSetReferenceOnRandomEvents) {
   constexpr int kEpisodes = 40;
   constexpr int kEventsPerEpisode = 250;
@@ -592,6 +730,7 @@ TEST(AbaDifferential, FlatTalliesMatchSetReferenceOnRandomEvents) {
                             CoinMode::kLocal};
   Rng rng(0xABAD1FFULL);
   int decided_episodes = 0;
+  int coin_dealings = 0;  // lazy SVSS coin dealings, both triggers
   std::uint32_t max_round = 0;
   for (int ep = 0; ep < kEpisodes; ++ep) {
     const int n = 4 + 3 * (ep % 3);
@@ -663,12 +802,17 @@ TEST(AbaDifferential, FlatTalliesMatchSetReferenceOnRandomEvents) {
             m.b = 3;
             fresh.on_direct(ctx_new, from, m);
             model.on_direct(ctx_ref, from, m);
-          } else {  // coin for this or an earlier round, possibly late
+          } else if (rng.next_below(2) == 0) {
+            // Coin for this or an earlier round, possibly late.
             int bit = static_cast<int>(rng.next_below(2));
             std::uint32_t r = 1 + static_cast<std::uint32_t>(
                                       rng.next_below(cur + 1));
             fresh.on_coin(ctx_new, r, bit);
             model.on_coin(ctx_ref, r, bit);
+          } else {
+            // A peer's coin dealing, for a past, current or future round.
+            fresh.on_peer_coin(ctx_new, round);
+            model.on_peer_coin(ctx_ref, round);
           }
           break;
       }
@@ -690,12 +834,16 @@ TEST(AbaDifferential, FlatTalliesMatchSetReferenceOnRandomEvents) {
           << where;
     }
     ASSERT_EQ(host_new.log, host_ref.log) << "episode " << ep;
+    for (const std::string& line : host_ref.log) {
+      if (line.rfind("coin ", 0) == 0) ++coin_dealings;
+    }
     if (model.decided()) ++decided_episodes;
     max_round = std::max(max_round, model.current_round());
   }
   // Non-vacuity: the random walk reaches decisions and later rounds.
   EXPECT_GE(decided_episodes, kEpisodes / 2);
   EXPECT_GE(max_round, 5u);
+  EXPECT_GT(coin_dealings, 0);
 }
 
 TEST(AbaDifferential, RejectsSenderIdsOutsideTheProcessRange) {

@@ -213,8 +213,10 @@ TEST(MultiInstance, NonContiguousIdsDecidingOutOfOrderAllComplete) {
 // coin dealing shares at once.  The EventLog fingerprint, each node's
 // decision round per instance, and msgs/bytes per message type are pinned
 // per seed: any change to when or how the coalescer flushes shows up here.
-// Seed 7381 decides before any coin reconstructs; 7383 and 7385 also run
-// G-set envelopes, recon-value envelopes and single-vote fallbacks.
+// The SVSS coin is dealt only where a round falls through to it: seeds
+// 7381 and 7383 fall back in round 1 and also run G-set envelopes,
+// recon-value envelopes and single-vote fallbacks; 7385 decides both
+// instances in round 1 and moves vote envelopes only.
 struct MixedCascadeGolden {
   std::uint64_t seed;
   std::uint64_t fingerprint;
@@ -238,26 +240,22 @@ std::string traffic_digest(const Metrics& m) {
 
 TEST(MultiInstance, MixedCascadeGoldenTrace) {
   const MixedCascadeGolden golden[] = {
-      {7381, 0x3ee097941fc6c3f9ull, {2, 2, 2, 1, 2, 2, 2, 1},
-       "mw-batch-direct=8246/1221434 mw-batch-ack=44436/3910368 "
-       "mw-batch-lset=34332/5218464 mw-batch-mset=7152/1093056 "
-       "mw-batch-ok=5976/525888 svss-batch-shares=72/8568 "
-       "aba-batch-vote=88/7912 aba-batch-conf=228/21888"},
-      {7383, 0x2897f9c1aa20c6fdull, {1, 2, 2, 2, 2, 1, 2, 2},
-       "mw-batch-direct=6863/1039737 mw-batch-ack=38348/3374192 "
-       "mw-batch-lset=27068/4114336 mw-batch-mset=5980/919136 "
-       "mw-batch-ok=5984/526592 mw-batch-recon-val=27360/3290928 "
-       "svss-batch-shares=76/9044 svss-batch-gset=272/115520 "
-       "coin-gset=272/22848 coin-start-recon=204/14688 aba-vote=336/24244 "
-       "aba-batch-vote=68/5916 aba-batch-conf=136/13056"},
-      {7385, 0x747cd882ec84ec25ull, {2, 2, 2, 2, 1, 2, 2, 2},
-       "mw-batch-direct=21945/3301119 mw-batch-ack=121780/10716640 "
-       "mw-batch-lset=99828/15173856 mw-batch-mset=24744/3777408 "
-       "mw-batch-ok=18080/1591040 mw-batch-recon-val=23004/2956896 "
-       "svss-batch-shares=248/29512 svss-batch-gset=468/194208 "
-       "coin-gset=264/22176 coin-start-recon=236/16992 "
-       "aba-vote=2100/152732 aba-batch-vote=72/6328 "
-       "aba-batch-conf=132/12672"},
+      {7381, 0xc7455dda72495caaull, {2, 2, 2, 2, 2, 2, 2, 2},
+       "mw-batch-direct=4463/646809 mw-batch-ack=25524/2245296 "
+       "mw-batch-lset=23288/3539776 mw-batch-mset=6428/985824 "
+       "mw-batch-ok=6436/566368 mw-batch-recon-val=20876/2813088 "
+       "svss-batch-shares=32/3808 svss-batch-gset=272/112384 "
+       "coin-gset=260/21840 coin-start-recon=268/19296 aba-vote=3040/220840 "
+       "aba-batch-vote=76/6612 aba-batch-conf=168/16128"},
+      {7383, 0x1f0dbb896e5863adull, {2, 2, 2, 2, 2, 2, 1, 2},
+       "mw-batch-direct=4198/608234 mw-batch-ack=23964/2108400 "
+       "mw-batch-lset=22144/3365888 mw-batch-mset=5580/857248 "
+       "mw-batch-ok=5552/488576 mw-batch-recon-val=18956/2607120 "
+       "svss-batch-shares=32/3808 svss-batch-gset=272/111680 "
+       "coin-gset=260/21840 coin-start-recon=228/16416 aba-vote=5724/416868 "
+       "aba-batch-vote=116/13356 aba-batch-conf=300/36480"},
+      {7385, 0x77928942b86929a5ull, {1, 1, 1, 1, 1, 1, 1, 1},
+       "aba-batch-vote=68/6300 aba-batch-conf=112/10752"},
   };
   for (const MixedCascadeGolden& g : golden) {
     RunnerConfig cfg = base_config(g.seed);

@@ -86,6 +86,32 @@ TEST_P(ReplaySweep, SvssTraceIsByteIdentical) {
   EXPECT_EQ(a, b);
 }
 
+// The sweep above decides in round 1 on every scheduler, and a round that
+// decides deals no coin.  Seed 92 under the random scheduler falls back
+// to the coin in round 1, so this replay covers the lazily dealt SVSS
+// coin: its dealing, reconstruction and output must replay byte for byte.
+TEST(Replay, CoinFallbackTraceIsByteIdentical) {
+  auto run = [] {
+    RunnerConfig c;
+    c.n = 4;
+    c.t = 1;
+    c.seed = 92;
+    c.scheduler = SchedulerKind::kRandom;
+    Runner r(c);
+    auto res = r.run_aba({0, 1, 0, 1}, CoinMode::kSvss);
+    const Metrics& m = r.engine().metrics();
+    return std::make_tuple(
+        trace_bytes(r.engine().log()), res.all_decided, res.value,
+        m.packets_delivered, m.bytes_sent,
+        m.packets_by_type[static_cast<std::size_t>(MsgType::kSvssBatchShares)]);
+  };
+  auto a = run();
+  auto b = run();
+  EXPECT_TRUE(std::get<1>(a));
+  EXPECT_GT(std::get<5>(a), 0u) << "no coin was dealt (vacuous run)";
+  EXPECT_EQ(a, b);
+}
+
 // Different seeds must not produce the same schedule (guards against the
 // seed being silently ignored somewhere in the scheduler plumbing).
 TEST(Replay, DifferentSeedsDiverge) {

@@ -33,17 +33,22 @@ void expect_clean(const sweep::SweepReport& report) {
 }
 
 // n = 4: the full SVSS-coin stack, t = 1 strategy-driven fault, all four
-// strategies x all four schedulers x five seeds.  The seed list spans the
+// strategies x all four schedulers x seven seeds.  The seed list spans the
 // input patterns (seed mod 4): mixed inputs stress the coin path,
-// unanimous inputs make the validity counter falsifiable.
+// unanimous inputs make the validity counter falsifiable.  The coin is
+// dealt only when some process's round falls through to it, and seeds
+// 11-55 decide in round 1 without one; seeds 1 and 13 (mixed) fall back
+// to the coin in round 1 under the random scheduler, which is where the
+// recon corrupter, the M-set withholder and the cabal find their attack
+// surface.
 TEST(TerminationSweep, FullStackSmall) {
   SweepSpec spec;
   spec.ns = {4};
   spec.strategies = all_strategies();
   spec.schedulers = all_schedulers();
-  spec.seeds = {11, 22, 33, 44, 55};
+  spec.seeds = {11, 22, 33, 44, 55, 1, 13};
   auto report = sweep::run_aba_termination_sweep(spec);
-  ASSERT_EQ(report.total(), 4 * 4 * 5);
+  ASSERT_EQ(report.total(), 4 * 4 * 7);
   expect_clean(report);
   // Coverage: every strategy must observably attack somewhere in the grid
   // (per-run non-vacuity is adversary_test's job; fast schedules can
@@ -58,21 +63,29 @@ TEST(TerminationSweep, FullStackSmall) {
 
 // n = 7 with the *full* SVSS-coin stack — the tier-1 case the batched
 // transport pays for (pre-batching this size lived in the stress lane
-// only).  One FIFO cell per strategy: t = 2 strategy-driven faults over
-// ~3.4M deliveries each; the random-schedule grid at this size stays in
-// the stress lane (stress_test.cpp runs it at n = 7 and n = 10).
+// only).  One FIFO and one random cell per strategy, t = 2
+// strategy-driven faults.  The FIFO schedule decides in round 1 and so
+// deals no coin; under the random scheduler seed 60 falls back to the
+// coin in round 1 (~1.2M deliveries per cell), which is where every
+// strategy attacks.  The random-schedule grid at this size stays in the
+// stress lane (stress_test.cpp runs it at n = 7 and n = 10).
 TEST(TerminationSweep, FullStackMediumN7) {
   SweepSpec spec;
   spec.ns = {7};
   spec.full_stack_max_n = 7;  // the real SCC, not the ideal-coin stand-in
   spec.strategies = all_strategies();
-  spec.schedulers = {SchedulerKind::kFifo};
+  spec.schedulers = {SchedulerKind::kFifo, SchedulerKind::kRandom};
   spec.seeds = {60};
   spec.max_deliveries = 100'000'000;
   auto report = sweep::run_aba_termination_sweep(spec);
-  ASSERT_EQ(report.total(), 4);
+  ASSERT_EQ(report.total(), 4 * 2);
   expect_clean(report);
-  sweep::maybe_write_report(report, "full-stack-n7-fifo");
+  for (auto strategy : spec.strategies) {
+    EXPECT_GT(report.attacked_count(strategy), 0)
+        << adversary::strategy_name(strategy) << " never attacked:\n"
+        << report.to_json();
+  }
+  sweep::maybe_write_report(report, "full-stack-n7");
 }
 
 // n = 7: t = 2 strategy-driven faults, ideal-coin abstraction (bench_aba's
@@ -130,13 +143,24 @@ TEST(TerminationSweep, CappedRunIsSurfacedInMetrics) {
   cfg.n = 4;
   cfg.t = 1;
   cfg.seed = 7;
-  cfg.max_deliveries = 500;  // far below what an SVSS-coin round needs
-  cfg.warn_on_cap = false;   // the flag, not the stderr line, is under test
+  cfg.warn_on_cap = false;  // the flag, not the stderr line, is under test
+  // The cap is derived from what the same run needs uncapped, so it binds
+  // however few deliveries agreement takes (a round that never falls
+  // through to the coin deals none).
+  std::uint64_t needed = 0;
+  {
+    Runner uncapped(cfg);
+    auto res = uncapped.run_aba({0, 1, 0, 1}, CoinMode::kSvss);
+    ASSERT_EQ(res.status, RunStatus::kQuiescent);
+    needed = res.metrics.packets_delivered;
+  }
+  ASSERT_GT(needed, 2u);
+  cfg.max_deliveries = needed / 2;
   Runner r(cfg);
   auto res = r.run_aba({0, 1, 0, 1}, CoinMode::kSvss);
   ASSERT_EQ(res.status, RunStatus::kDeliveryCap);
   EXPECT_TRUE(res.metrics.capped);
-  EXPECT_EQ(res.metrics.deliveries_at_cap, 500u);
+  EXPECT_EQ(res.metrics.deliveries_at_cap, needed / 2);
   EXPECT_NE(res.metrics.summary().find("CAPPED"), std::string::npos);
 }
 
